@@ -177,7 +177,11 @@ int main() {
       [&](Cycle mean_ia, harness::JobContext& ctx) {
         const PointOut o = run_point(mean_ia, inferences, shards);
         const double offered = 1e6 / static_cast<double>(mean_ia);
-        const std::string p = "p" + std::to_string(ctx.index) + ".";
+        // Appended piecewise: operator+ on a literal and a temporary trips
+        // GCC 12's -Wrestrict false positive.
+        std::string p = "p";
+        p += std::to_string(ctx.index);
+        p += '.';
         ctx.fragment.metric(p + "offered_per_mcycle_per_instance", offered);
         ctx.fragment.metric(p + "arrivals", static_cast<double>(o.arrivals));
         ctx.fragment.metric(p + "completions", static_cast<double>(o.completions));

@@ -24,7 +24,7 @@ Controller::Controller(dram::Channel& chan, const dram::AddressMapper& mapper,
   read_meta_.reserve(cfg.read_queue_size + kCompactDead);
   write_meta_.reserve(cfg.write_queue_size + kCompactDead);
   for (auto& oc : occ_) {
-    oc.cnt.assign(chan.unit_count(), UnitCnt{});
+    oc.slot.assign(chan.unit_count(), UnitSlot{});
     oc.listed.assign(chan.unit_count(), 0);
     oc.units.reserve(chan.unit_count());
   }
@@ -141,9 +141,15 @@ bool Controller::enqueue(Request req, CompletionCallback cb) {
   meta.push_back(QueueScanMeta{static_cast<std::uint32_t>(chan_.unit_of(q.back().coord)),
                                q.back().coord.row,
                                QueueScanMeta::kLive |
-                                   (is_read ? 0u : QueueScanMeta::kWrite)});
+                                   (is_read ? 0u : QueueScanMeta::kWrite),
+                               QueueScanMeta::kChainEnd});
   UnitOcc& oc = occ_[is_read ? 0 : 1];
   const std::uint32_t u = meta.back().unit;
+  UnitSlot& us = oc.slot[u];
+  const auto idx = static_cast<std::uint32_t>(meta.size() - 1);
+  if (us.head == QueueScanMeta::kChainEnd) us.head = idx;
+  else meta[us.tail].next = idx;
+  us.tail = idx;
   if (!oc.listed[u]) {
     oc.listed[u] = 1;
     // Sorted insertion (rare: first touch of a drained unit). Unit ids
@@ -151,8 +157,8 @@ bool Controller::enqueue(Request req, CompletionCallback cb) {
     // ranks and the kernel's scan_gates memo fires once per rank.
     oc.units.insert(std::lower_bound(oc.units.begin(), oc.units.end(), u), u);
   }
-  ++oc.cnt[u].total;
-  if (chan_.unit_open(u) && chan_.unit_row(u) == meta.back().row) ++oc.cnt[u].match;
+  ++us.total;
+  if (chan_.unit_open(u) && chan_.unit_row(u) == meta.back().row) ++us.match;
   // This queue's stashed min does not cover the new request.
   issue_min_valid_[is_read ? 0 : 1] = false;
   return true;
@@ -301,21 +307,44 @@ void Controller::serve(std::vector<QueuedRequest>& q, std::size_t idx, dram::Cmd
   // A RD/WR only ever serves a row hit at an open unit, so the entry is
   // counted in match (exact while clean; garbage-tolerant while occ_dirty_,
   // which the next rebuild overwrites).
-  UnitCnt& c = occ_[is_read ? 0 : 1].cnt[meta[idx].unit];
+  UnitOcc& oc = occ_[is_read ? 0 : 1];
+  const std::uint32_t u = meta[idx].unit;
+  UnitSlot& c = oc.slot[u];
   --c.total;
   --c.match;
+  // Chain upkeep: a drained unit's chain empties; a served head moves to
+  // the unit's next live entry (one exists while total > 0). A served
+  // entry mid-chain stays linked as a tombstone until compaction.
+  if (c.total == 0) {
+    c.head = c.tail = QueueScanMeta::kChainEnd;
+  } else if (c.head == idx) {
+    std::uint32_t h = meta[idx].next;
+    while (!(meta[h].flags & QueueScanMeta::kLive)) h = meta[h].next;
+    c.head = h;
+  }
   std::size_t& live = is_read ? read_q_live_ : write_q_live_;
   --live;
   if (q.size() - live >= kCompactDead) {
     // Stable in-place compaction of the queue and its scan metadata in
-    // lockstep (remove_if is stable; this is the same survivor order).
-    std::size_t w = 0;
+    // lockstep (remove_if is stable; this is the same survivor order),
+    // relinking every unit chain over the survivors' new indices. Every
+    // unit holding a live entry is listed (the kernel unlists only drained
+    // units), so resetting the listed units' chains covers all of them.
+    for (const std::uint32_t lu : oc.units)
+      oc.slot[lu].head = oc.slot[lu].tail = QueueScanMeta::kChainEnd;
+    std::uint32_t w = 0;
     for (std::size_t i = 0; i < q.size(); ++i) {
       if (!q[i].live) continue;
       if (w != i) {
         q[w] = std::move(q[i]);
         meta[w] = meta[i];
       }
+      QueueScanMeta& m = meta[w];
+      m.next = QueueScanMeta::kChainEnd;
+      UnitSlot& ms = oc.slot[m.unit];
+      if (ms.head == QueueScanMeta::kChainEnd) ms.head = w;
+      else meta[ms.tail].next = w;
+      ms.tail = w;
       ++w;
     }
     q.resize(w);
@@ -323,32 +352,25 @@ void Controller::serve(std::vector<QueuedRequest>& q, std::size_t idx, dram::Cmd
   }
 }
 
+std::uint32_t Controller::count_row(const UnitOcc& oc, const std::vector<QueueScanMeta>& meta,
+                                    std::uint32_t unit, std::uint32_t row) const {
+  std::uint32_t m = 0;
+  for (std::uint32_t i = oc.slot[unit].head; i != QueueScanMeta::kChainEnd; i = meta[i].next)
+    if ((meta[i].flags & QueueScanMeta::kLive) && meta[i].row == row) ++m;
+  return m;
+}
+
 void Controller::refresh_unit_occ(std::uint32_t unit) {
   // An ACT changed which row this unit exposes: recount, per queue, how
-  // many live requests at the unit target it. total is untouched (ACT
-  // neither adds nor removes requests); closed units never reach here
-  // (match is unused until the next ACT recomputes it).
+  // many live requests at the unit target it, walking only the unit's
+  // chain. total is untouched (ACT neither adds nor removes requests);
+  // closed units never reach here (match is unused until the next ACT
+  // recomputes it).
   const bool open = chan_.unit_open(unit);
-  const std::uint32_t row = open ? chan_.unit_row(unit) : 0;
   for (std::size_t qi = 0; qi < 2; ++qi) {
     UnitOcc& oc = occ_[qi];
-    if (oc.cnt[unit].total == 0) {
-      oc.cnt[unit].match = 0;
-      continue;
-    }
-    std::uint32_t m = 0;
-    if (open) {
-      const auto& meta = qi == 0 ? read_meta_ : write_meta_;
-      // total bounds how many live entries the unit holds — stop at
-      // the last one instead of sweeping the whole queue.
-      std::uint32_t remaining = oc.cnt[unit].total;
-      for (const QueueScanMeta& e : meta) {
-        if (!(e.flags & QueueScanMeta::kLive) || e.unit != unit) continue;
-        if (e.row == row) ++m;
-        if (--remaining == 0) break;
-      }
-    }
-    oc.cnt[unit].match = m;
+    oc.slot[unit].match =
+        open ? count_row(oc, qi == 0 ? read_meta_ : write_meta_, unit, chan_.unit_row(unit)) : 0;
   }
 }
 
@@ -359,7 +381,7 @@ Cycle Controller::queue_kernel_min(std::size_t qi, Cycle now) const {
   dram::Channel::ScanGates g{};
   for (std::size_t k = 0; k < oc.units.size();) {
     const std::uint32_t u = oc.units[k];
-    const UnitCnt c = oc.cnt[u];
+    UnitSlot& c = oc.slot[u];
     if (c.total == 0) {  // drained unit: lazy stable erase (keeps order)
       oc.listed[u] = 0;
       oc.units.erase(oc.units.begin() + static_cast<std::ptrdiff_t>(k));
@@ -371,16 +393,20 @@ Cycle Controller::queue_kernel_min(std::size_t qi, Cycle now) const {
       gates_rank = rank;
       g = chan_.scan_gates(rank, now);
     }
-    if (!g.active) continue;  // asleep: every command is kCycleNever
-    if (!chan_.unit_open(u)) {
-      qmin = std::min(qmin, chan_.earliest_act_at(u, g));
-      continue;
+    // Both classes' times, recorded for the unit-table pick and folded.
+    // An asleep rank leaves both at kCycleNever.
+    Cycle hit = kCycleNever, ready = kCycleNever;
+    if (g.active) {
+      if (!chan_.unit_open(u)) {
+        ready = chan_.earliest_act_at(u, g);
+      } else {
+        if (c.match > 0) hit = qi == 0 ? chan_.earliest_rd_at(u, g) : chan_.earliest_wr_at(u, g);
+        if (c.total > c.match) ready = chan_.earliest_pre_at(u, g);
+      }
     }
-    if (c.match > 0)
-      qmin = std::min(qmin, qi == 0 ? chan_.earliest_rd_at(u, g)
-                                    : chan_.earliest_wr_at(u, g));
-    if (c.total > c.match)
-      qmin = std::min(qmin, chan_.earliest_pre_at(u, g));
+    c.hit_at = hit;
+    c.ready_at = ready;
+    qmin = std::min({qmin, hit, ready});
   }
   return qmin;
 }
@@ -410,12 +436,9 @@ void Controller::rebuild_occ() const {
   // need recomputing against the channel's current open rows.
   for (std::size_t qi = 0; qi < 2; ++qi) {
     UnitOcc& oc = occ_[qi];
-    for (const std::uint32_t u : oc.units) oc.cnt[u].match = 0;
     const auto& meta = qi == 0 ? read_meta_ : write_meta_;
-    for (const QueueScanMeta& m : meta) {
-      if (!(m.flags & QueueScanMeta::kLive)) continue;
-      if (chan_.unit_open(m.unit) && chan_.unit_row(m.unit) == m.row) ++oc.cnt[m.unit].match;
-    }
+    for (const std::uint32_t u : oc.units)
+      oc.slot[u].match = chan_.unit_open(u) ? count_row(oc, meta, u, chan_.unit_row(u)) : 0;
   }
 }
 
@@ -450,7 +473,15 @@ bool Controller::try_issue_from(std::vector<QueuedRequest>& q, std::size_t live,
   // zero state change. Eliding the scan is observably identical for pure
   // picks; impure policies (RL) keep their exact call cadence.
   const std::size_t qi = is_read ? 0 : 1;
-  if (sched_pick_pure_ && stashed_issue_min(qi, now) > now) return false;
+  UnitTable table;
+  if (sched_pick_pure_) {
+    if (stashed_issue_min(qi, now) > now) return false;
+    // The stash is valid here, so the kernel's per-unit times it recorded
+    // classify every queued command exactly as a scan would this cycle.
+    const UnitOcc& oc = occ_[qi];
+    table = UnitTable{oc.units.data(), oc.units.size(), oc.slot.data()};
+    v.units = &table;
+  }
   const std::size_t idx = sched_->pick(q, v);
   if (idx == kNoPick) return false;
   assert(idx < q.size() && q[idx].live);

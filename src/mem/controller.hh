@@ -296,12 +296,16 @@ class Controller {
   // state effects are not worth tracking — set occ_dirty_ to force a full
   // rebuild at the next kernel run. PRE needs no bookkeeping: a closed
   // unit's match is simply unused until the next ACT recomputes it.
-  struct UnitCnt {
-    std::uint32_t total = 0;
-    std::uint32_t match = 0;
-  };
+  //
+  // Each unit also heads a chain of its queue entries in index order
+  // (QueueScanMeta::next, UnitSlot::head/tail): enqueue appends, serve
+  // advances a served head past tombstones or empties a drained unit's
+  // chain, and serve's compaction relinks every chain. Recounts
+  // (refresh_unit_occ, rebuild_occ) walk one unit's chain, and the kernel
+  // records each occupied unit's legality in its slot, so a pure pick
+  // reads both through SchedView::units (DESIGN.md "Unit-table pick").
   struct UnitOcc {
-    std::vector<UnitCnt> cnt;           // both counts in one 8-byte slot
+    std::vector<UnitSlot> slot;         // counts, chain ends, kernel times
     std::vector<std::uint8_t> listed;   // unit present in `units`
     std::vector<std::uint32_t> units;   // occupied units, kept sorted
   };
@@ -309,6 +313,9 @@ class Controller {
   mutable bool occ_dirty_ = false;
   void refresh_unit_occ(std::uint32_t unit);
   void rebuild_occ() const;
+  // Live entries of `unit` in `meta` that target `row`.
+  std::uint32_t count_row(const UnitOcc& oc, const std::vector<QueueScanMeta>& meta,
+                          std::uint32_t unit, std::uint32_t row) const;
   Cycle queue_kernel_min(std::size_t qi, Cycle now) const;
   // Refresh (if needed) and return the queue's stashed kernel min; shared
   // by next_event and the pick-elision gate in try_issue_from.

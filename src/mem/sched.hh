@@ -42,17 +42,52 @@ struct QueuedRequest {
 
 /// Compact scan metadata the controller maintains index-parallel to each
 /// request queue (tombstones included): exactly the values a legality /
-/// row-hit query needs, 12 bytes per entry instead of a whole
-/// QueuedRequest, so the hot scheduler and next_event scans touch a tenth
-/// of the cache lines. `unit` is immutable per request (Channel::unit_of
-/// depends only on the geometry); `flags` go dead when the request is
-/// served.
+/// row-hit query needs plus the unit-chain link, 16 bytes per entry instead
+/// of a whole QueuedRequest, so the hot scheduler and next_event scans
+/// touch a fraction of the cache lines. `unit` is immutable per request
+/// (Channel::unit_of depends only on the geometry); `flags` go dead when
+/// the request is served. `next` threads the entries of one unit into a
+/// chain in index (= arrival) order, from the controller's per-unit head
+/// (UnitSlot::head) to kChainEnd; a chain may still hold served
+/// tombstones until the next compaction, which walkers skip via `flags`.
 struct QueueScanMeta {
   std::uint32_t unit;
   std::uint32_t row;
   std::uint32_t flags;  // kLive | kWrite
+  std::uint32_t next;   // next entry of this unit's chain, or kChainEnd
   static constexpr std::uint32_t kLive = 1;
   static constexpr std::uint32_t kWrite = 2;
+  static constexpr std::uint32_t kChainEnd = ~0u;
+};
+
+/// One unit of one request queue, as the controller tracks it.
+/// `total` counts the live entries at the unit and `match` those on its
+/// open row. `head`/`tail` are the ends of the unit's chain
+/// (QueueScanMeta::next). `hit_at` and `ready_at` are when the unit's two
+/// command classes become legal, as the controller's next_event kernel last
+/// computed them: `hit_at` for the RD/WR of entries on the open row
+/// (kCycleNever if the unit is closed or no queued row matches),
+/// `ready_at` for the ACT of a closed unit or the PRE of an open one some
+/// queued row mismatches. Each time is max(now, h) with h fixed while the
+/// channel's state_version holds, so `t <= now` classifies exactly like
+/// Channel::earliest() does.
+struct UnitSlot {
+  std::uint32_t total = 0;
+  std::uint32_t match = 0;
+  std::uint32_t head = QueueScanMeta::kChainEnd;
+  std::uint32_t tail = QueueScanMeta::kChainEnd;
+  Cycle hit_at = kCycleNever;
+  Cycle ready_at = kCycleNever;
+};
+
+/// The active queue's occupied units and their slots (see DESIGN.md
+/// "Unit-table pick"). Offered only while the controller's kernel stash is
+/// valid; first-ready pickers then fold over units and walk the chains of
+/// units with a legal command instead of classifying every queue entry.
+struct UnitTable {
+  const std::uint32_t* units = nullptr;  // occupied units, ascending
+  std::size_t count = 0;
+  const UnitSlot* slots = nullptr;       // indexed by unit
 };
 
 /// Per-core accounting the fairness-oriented schedulers need.
@@ -198,9 +233,13 @@ struct SchedView {
   bool arrive_sorted = false;
   // Index-parallel scan metadata for the active queue (null for hand-built
   // views; the controller wires its per-queue array in). When present with
-  // the cache, live(i)/issue_class_at(i) answer off 12-byte entries without
+  // the cache, live(i)/issue_class_at(i) answer off 16-byte entries without
   // touching the queue structs — byte-identical results by construction.
   const QueueScanMeta* meta = nullptr;
+  // Per-unit legality and chains of the active queue (requires meta). Set
+  // only for pure-pick policies once the controller has proven some queued
+  // command legal this cycle; null everywhere else, where pickers scan.
+  const UnitTable* units = nullptr;
 
   [[gnu::always_inline]] inline bool live(std::size_t i,
                                           const std::vector<QueuedRequest>& q) const {
@@ -328,6 +367,69 @@ std::unique_ptr<Scheduler> make_mise(std::uint32_t num_cores, Cycle epoch = 50'0
 std::vector<double> mise_estimated_slowdowns(const Scheduler& sched);
 
 // --- shared helpers for scheduler implementations ---
+
+/// The two first-ready candidates, read off a SchedView's unit table:
+/// `hit` is the oldest live request whose RD/WR is legal now and whose
+/// unit `accept_hit` admits; `ready` is the oldest live request whose
+/// required command is legal now, hits included. "Oldest" is the scan's
+/// argmin: lowest index on an arrive-sorted queue, else lowest
+/// (arrive, index). Both kNoPick when no queued command is legal.
+struct FirstReady {
+  std::size_t hit = kNoPick;
+  std::size_t ready = kNoPick;
+};
+
+/// Folds over the occupied units of `v.units` and walks only the chains of
+/// units with a legal command. The RD/WR class of a unit is its entries on
+/// the open row; `accept_hit(r)` is asked once per unit, on its first such
+/// entry (every one shares rank, bank and row), and a refused unit's hits
+/// still count as ready.
+template <typename AcceptHit>
+FirstReady first_ready_by_unit(const std::vector<QueuedRequest>& q, const SchedView& v,
+                               AcceptHit&& accept_hit) {
+  const UnitTable& t = *v.units;
+  const QueueScanMeta* meta = v.meta;
+  const bool sorted = v.arrive_sorted;
+  const auto before = [&](std::size_t i, std::size_t best) {
+    if (best == kNoPick) return true;
+    if (sorted) return i < best;
+    const Cycle a = q[i].req.arrive, b = q[best].req.arrive;
+    return a < b || (a == b && i < best);
+  };
+  FirstReady r;
+  for (std::size_t k = 0; k < t.count; ++k) {
+    const std::uint32_t u = t.units[k];
+    const bool hit_ok = t.slots[u].hit_at <= v.now;
+    const bool ready_ok = t.slots[u].ready_at <= v.now;
+    if (!hit_ok && !ready_ok) continue;
+    const bool open = v.chan->unit_open(u);
+    const std::uint32_t row = v.chan->unit_row(u);
+    // Whether this unit's hits may still win: unknown (-1) until the first
+    // one is put to accept_hit.
+    int accepted = -1;
+    for (std::uint32_t i = t.slots[u].head; i != QueueScanMeta::kChainEnd; i = meta[i].next) {
+      const QueueScanMeta& m = meta[i];
+      if (!(m.flags & QueueScanMeta::kLive)) continue;
+      // Sorted chains run in index order, and ready <= hit: nothing past
+      // the best hit can change either answer.
+      if (sorted && r.hit <= i) break;
+      const bool match = open && m.row == row;
+      if (match ? !hit_ok : !ready_ok) continue;
+      if (before(i, r.ready)) r.ready = i;
+      if (match) {
+        if (accepted < 0) accepted = accept_hit(q[i]) ? 1 : 0;
+        if (accepted) {
+          if (before(i, r.hit)) r.hit = i;
+          if (sorted) break;  // later entries of this chain are younger
+        }
+      }
+      // Sorted: this unit's first legal entry is its ready candidate; walk
+      // on only while an admitted hit may still follow.
+      if (sorted && !(hit_ok && accepted != 0)) break;
+    }
+  }
+  return r;
+}
 
 /// Oldest live request by arrival among those satisfying `pred`; kNoPick if
 /// none. Ties resolve to the lowest index (= insertion order), so served

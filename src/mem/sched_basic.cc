@@ -17,6 +17,13 @@ namespace {
 class FcfsScheduler final : public Scheduler {
  public:
   std::size_t pick(const std::vector<QueuedRequest>& q, const SchedView& v) override {
+    // Unit table: the oldest legal request, found per occupied unit. With
+    // nothing legal the scan below returns the oldest live request.
+    if (v.units) {
+      const FirstReady fr =
+          first_ready_by_unit(q, v, [](const QueuedRequest&) { return true; });
+      if (fr.ready != kNoPick) return fr.ready;
+    }
     // One fused scan (hot path): issuable-set ⊆ live-set, so tracking both
     // argmins in a single pass picks the same index as the two-pass form.
     // On a sorted queue "oldest" = "first", so the first issuable wins.
@@ -51,6 +58,14 @@ class FcfsScheduler final : public Scheduler {
 class FrFcfsScheduler final : public Scheduler {
  public:
   std::size_t pick(const std::vector<QueuedRequest>& q, const SchedView& v) override {
+    // Unit table: per-unit oldest hit, then oldest ready (DESIGN.md
+    // "Unit-table pick"); with nothing legal the scan returns the oldest.
+    if (v.units) {
+      const FirstReady fr =
+          first_ready_by_unit(q, v, [](const QueuedRequest&) { return true; });
+      if (fr.hit != kNoPick) return fr.hit;
+      if (fr.ready != kNoPick) return fr.ready;
+    }
     // Fused hit/ready/any scan: each priority class is a subset of the
     // next, so one pass tracking three argmins returns exactly what the
     // three oldest_where passes did — at a third of the queue walks (this
@@ -94,6 +109,13 @@ class FrFcfsCapScheduler final : public Scheduler {
   explicit FrFcfsCapScheduler(std::uint32_t cap) : cap_(cap) {}
 
   std::size_t pick(const std::vector<QueuedRequest>& q, const SchedView& v) override {
+    if (v.units) {
+      // All hits of one unit share its bank and open row, hence one streak.
+      const FirstReady fr = first_ready_by_unit(
+          q, v, [this](const QueuedRequest& r) { return streak_for(r.coord) < cap_; });
+      if (fr.hit != kNoPick) return fr.hit;
+      if (fr.ready != kNoPick) return fr.ready;
+    }
     // Fused capped-hit/ready/any scan (see FrFcfsScheduler::pick).
     if (v.arrive_sorted) {
       std::size_t ready = kNoPick, any = kNoPick;

@@ -203,8 +203,11 @@ endif()
 #
 # Re-recorded after the SoA occupancy-count timing kernel: median of 8
 # runs on the reference host was 7.4M cyc/s for this 300K-cycle phase
-# (pre-SoA recording: 3.5M). The phase is short enough that run-to-run
-# spread is ~±15%, which the 30% margin absorbs.
+# (pre-SoA recording: 3.5M). One 300K-cycle sample spread 5.0-7.7M across
+# identical runs on a shared 4-CPU host, so bench_smoke repeats the phase
+# five times and host_cycles_per_sec_loaded is the median of those runs;
+# the gate compares that median against the unchanged floor and requires
+# the min/max beside it.
 set(loaded_cps_recorded 7400000)  # cycles/sec, bench_smoke loaded phase
 math(EXPR loaded_cps_floor "${loaded_cps_recorded} * 7 / 10")
 if(DEFINED ENV{IMA_PERF_FLOOR_CPS})
@@ -215,6 +218,13 @@ string(JSON loaded_cps ERROR_VARIABLE json_err GET "${report_json}" metrics
 if(json_err)
   message(FATAL_ERROR "BENCH_smoke.json metrics.host_cycles_per_sec_loaded missing (${json_err})")
 endif()
+foreach(bound min max)
+  string(JSON value ERROR_VARIABLE json_err GET "${report_json}" metrics
+         host_cycles_per_sec_loaded_${bound})
+  if(json_err)
+    message(FATAL_ERROR "BENCH_smoke.json metrics.host_cycles_per_sec_loaded_${bound} missing (${json_err})")
+  endif()
+endforeach()
 if(IMA_SANITIZE)
   message(STATUS "sanitizer build (${IMA_SANITIZE}): perf floor skipped, loaded rate ${loaded_cps} cyc/s")
 elseif(loaded_cps LESS loaded_cps_floor)

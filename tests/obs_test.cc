@@ -247,6 +247,28 @@ TEST(TailRecorder, BucketInversionIsExactAtEveryPrecision) {
   }
 }
 
+TEST(TailRecorder, BucketOfMatchesShiftLoopBitWidth) {
+  // bucket_of takes the bit width from std::bit_width; the reference here
+  // counts it with the shift loop. Both must agree at every width edge:
+  // 0, 1, each 2^k - 1 / 2^k pair, and the top of the range.
+  const auto reference = [](std::uint64_t v, unsigned p) {
+    unsigned w = 0;
+    for (std::uint64_t x = v; x; x >>= 1) ++w;
+    const unsigned s = w > p + 1 ? w - (p + 1) : 0;
+    return (static_cast<std::size_t>(s) << p) + static_cast<std::size_t>(v >> s);
+  };
+  std::vector<std::uint64_t> vals = {0, 1, std::numeric_limits<std::uint64_t>::max()};
+  for (unsigned k = 1; k < 64; ++k) {
+    vals.push_back((std::uint64_t{1} << k) - 1);
+    vals.push_back(std::uint64_t{1} << k);
+  }
+  for (const unsigned p : {1u, 4u, 6u}) {
+    const obs::TailRecorder t(p);
+    for (const std::uint64_t v : vals)
+      EXPECT_EQ(t.bucket_of(v), reference(v, p)) << "p=" << p << " v=" << v;
+  }
+}
+
 TEST(TailRecorder, RankSelectionIsExactWhenBucketsAre) {
   // With all samples in the exact range, percentile() degenerates to true
   // order statistics: cross-check every rank against a sorted copy, at a

@@ -192,13 +192,24 @@ TEST_F(SchedFixture, AllSchedulersReturnValidIndicesUnderChurn) {
 
 // Forwards every Scheduler call to the wrapped policy, logging each pick
 // as (cycle, request id) — the probe for the memoization differential.
+// pick_is_pure is forwarded too, so the controller's pick elision and its
+// unit table apply exactly as they would to the bare policy. Every pick
+// that carries a unit table is re-run with the table removed: the scan is
+// the oracle the table pick must reproduce index for index.
 class RecordingScheduler final : public Scheduler {
  public:
-  RecordingScheduler(std::unique_ptr<Scheduler> inner, std::vector<std::uint64_t>* log)
-      : inner_(std::move(inner)), log_(log) {}
+  RecordingScheduler(std::unique_ptr<Scheduler> inner, std::vector<std::uint64_t>* log,
+                     std::uint64_t* table_picks = nullptr)
+      : inner_(std::move(inner)), log_(log), table_picks_(table_picks) {}
 
   std::size_t pick(const std::vector<QueuedRequest>& q, const SchedView& v) override {
     const std::size_t idx = inner_->pick(q, v);
+    if (v.units) {
+      SchedView scan = v;
+      scan.units = nullptr;
+      EXPECT_EQ(inner_->pick(q, scan), idx) << "unit-table pick diverges at cycle " << v.now;
+      if (table_picks_) ++*table_picks_;
+    }
     log_->push_back(v.now);
     log_->push_back(idx == kNoPick ? ~std::uint64_t{0} : q[idx].req.id);
     return idx;
@@ -210,12 +221,121 @@ class RecordingScheduler final : public Scheduler {
     inner_->tick(v, q);
   }
   Cycle next_event(Cycle now) const override { return inner_->next_event(now); }
+  bool pick_is_pure() const override { return inner_->pick_is_pure(); }
   std::string name() const override { return inner_->name(); }
 
  private:
   std::unique_ptr<Scheduler> inner_;
   std::vector<std::uint64_t>* log_;
+  std::uint64_t* table_picks_;
 };
+
+// One saturated closed-loop world for the scheduler differentials: four
+// injectors (two streaming at MLP 12, two random at MLP 4) on one channel,
+// with the knobs the unit-table cases vary.
+struct World {
+  bool memoize = true;
+  bool salp = false;
+  std::uint32_t ranks = 1;
+  bool charge_cache = false;
+  std::size_t drain_high = 48;  // ControllerConfig defaults
+  std::size_t drain_low = 16;
+  double write_fraction = 0.2;  // StreamParams default
+  bool shuffle_arrive = false;  // stamp some requests with an earlier arrive
+  Cycle pim_every = 0;          // enqueue one PIM op per this many cycles
+  Cycle cycles = 60'000;
+};
+
+struct WorldResult {
+  std::vector<std::uint64_t> log;
+  obs::StatRegistry::Snapshot stats;
+  std::uint64_t table_picks = 0;
+  Controller::Stats ctrl;
+};
+
+// `sel` is a SchedKind, or -1 for MISE (not a factory kind).
+WorldResult run_world(int sel, const World& w) {
+  auto dram_cfg = dram::DramConfig::ddr4_2400();
+  dram_cfg.timings.salp = w.salp;
+  dram_cfg.geometry.ranks = w.ranks;
+  ControllerConfig ctrl;
+  ctrl.num_cores = 4;
+  ctrl.memoize_timing = w.memoize;
+  ctrl.charge_cache = w.charge_cache;
+  ctrl.write_drain_high = w.drain_high;
+  ctrl.write_drain_low = w.drain_low;
+  if (sel >= 0) ctrl.sched = static_cast<SchedKind>(sel);
+  MemorySystem sys(dram_cfg, ctrl);
+  WorldResult out;
+  sys.controller(0).set_scheduler(std::make_unique<RecordingScheduler>(
+      sel < 0 ? make_mise(4) : make_scheduler(static_cast<SchedKind>(sel), 4, 7), &out.log,
+      &out.table_picks));
+  obs::StatRegistry reg;
+  sys.register_stats(reg, "mem");
+
+  struct Injector {
+    std::unique_ptr<workloads::AccessStream> stream;
+    std::uint32_t mlp = 0;
+    std::uint32_t outstanding = 0;
+  };
+  std::vector<Injector> cores;
+  workloads::StreamParams p;
+  p.footprint = 48ull << 20;
+  p.write_fraction = w.write_fraction;
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    p.base = static_cast<Addr>(i) << 30;
+    p.seed = 51 + i;
+    if (i % 2 == 0) cores.push_back({workloads::make_streaming(p), 12, 0});
+    else cores.push_back({workloads::make_random(p), 4, 0});
+  }
+  Rng arrive_rng(5);
+  Rng pim_rng(9);
+  const auto& g = dram_cfg.geometry;
+
+  sim::run_event_loop(
+      sys.clock_mode(), 0, w.cycles,
+      [&](Cycle now) {
+        for (std::size_t i = 0; i < cores.size(); ++i) {
+          auto& c = cores[i];
+          while (c.outstanding < c.mlp) {
+            const auto e = c.stream->next();
+            Request r;
+            r.addr = e.addr;
+            r.type = e.type;
+            r.core = static_cast<std::uint32_t>(i);
+            r.arrive = now;
+            if (w.shuffle_arrive && arrive_rng.chance(0.25))
+              r.arrive -= std::min<Cycle>(now, arrive_rng.next_below(64));
+            if (!sys.can_accept(r.addr, r.type, r.core)) break;
+            ++c.outstanding;
+            if (!sys.enqueue(r, [&c](const Request&) { --c.outstanding; })) {
+              --c.outstanding;
+              break;
+            }
+          }
+        }
+        if (w.pim_every && now % w.pim_every == 0) {
+          PimOp op;
+          op.cmd = dram::Cmd::AapFpm;
+          op.bank = dram::Coord{0, static_cast<std::uint32_t>(pim_rng.next_below(g.ranks)),
+                                static_cast<std::uint32_t>(pim_rng.next_below(g.banks)), 0, 0};
+          op.args.src_row = 1;
+          op.args.dst_row = 2;
+          sys.controller(0).enqueue_pim(std::move(op));
+        }
+        sys.tick(now);
+      },
+      [] { return false; },
+      [&](Cycle now) {
+        if (w.pim_every) return now + 1;
+        for (const auto& c : cores)
+          if (c.outstanding < c.mlp) return now + 1;
+        return sys.next_event(now);
+      });
+  out.stats = reg.snapshot();
+  out.ctrl = sys.controller(0).stats();
+  return out;
+}
 
 // Differential check for the per-cycle timing memo (SchedTimingCache): with
 // ControllerConfig::memoize_timing on vs off, every policy must make the
@@ -224,78 +344,64 @@ class RecordingScheduler final : public Scheduler {
 // host time. Saturation matters: only full queues produce the repeated
 // same-cycle timing queries the memo actually serves.
 TEST(SchedMemoDifferential, AllKindsPickIdentically) {
-  // `sel` is a SchedKind, or -1 for MISE (not a factory kind).
-  const auto run_world = [](int sel, bool memoize) {
-    auto dram_cfg = dram::DramConfig::ddr4_2400();
-    ControllerConfig ctrl;
-    ctrl.num_cores = 4;
-    ctrl.memoize_timing = memoize;
-    if (sel >= 0) ctrl.sched = static_cast<SchedKind>(sel);
-    MemorySystem sys(dram_cfg, ctrl);
-    std::vector<std::uint64_t> log;
-    sys.controller(0).set_scheduler(std::make_unique<RecordingScheduler>(
-        sel < 0 ? make_mise(4) : make_scheduler(static_cast<SchedKind>(sel), 4, 7), &log));
-    obs::StatRegistry reg;
-    sys.register_stats(reg, "mem");
-
-    struct Injector {
-      std::unique_ptr<workloads::AccessStream> stream;
-      std::uint32_t mlp = 0;
-      std::uint32_t outstanding = 0;
-    };
-    std::vector<Injector> cores;
-    workloads::StreamParams p;
-    p.footprint = 48ull << 20;
-    for (std::uint32_t i = 0; i < 4; ++i) {
-      p.base = static_cast<Addr>(i) << 30;
-      p.seed = 51 + i;
-      if (i % 2 == 0) cores.push_back({workloads::make_streaming(p), 12, 0});
-      else cores.push_back({workloads::make_random(p), 4, 0});
-    }
-
-    sim::run_event_loop(
-        sys.clock_mode(), 0, 60'000,
-        [&](Cycle now) {
-          for (std::size_t i = 0; i < cores.size(); ++i) {
-            auto& c = cores[i];
-            while (c.outstanding < c.mlp) {
-              const auto e = c.stream->next();
-              Request r;
-              r.addr = e.addr;
-              r.type = e.type;
-              r.core = static_cast<std::uint32_t>(i);
-              r.arrive = now;
-              if (!sys.can_accept(r.addr, r.type, r.core)) break;
-              ++c.outstanding;
-              if (!sys.enqueue(r, [&c](const Request&) { --c.outstanding; })) {
-                --c.outstanding;
-                break;
-              }
-            }
-          }
-          sys.tick(now);
-        },
-        [] { return false; },
-        [&](Cycle now) {
-          for (const auto& c : cores)
-            if (c.outstanding < c.mlp) return now + 1;
-          return sys.next_event(now);
-        });
-    return std::pair<std::vector<std::uint64_t>, obs::StatRegistry::Snapshot>(
-        std::move(log), reg.snapshot());
-  };
-
   for (int sel = -1; sel <= static_cast<int>(SchedKind::Rl); ++sel) {
     SCOPED_TRACE(sel < 0 ? "MISE" : to_string(static_cast<SchedKind>(sel)));
-    const auto memo = run_world(sel, /*memoize=*/true);
-    const auto direct = run_world(sel, /*memoize=*/false);
-    ASSERT_FALSE(memo.first.empty());
-    ASSERT_EQ(memo.first, direct.first) << "pick sequence diverges with memoization";
-    ASSERT_EQ(memo.second.size(), direct.second.size());
-    for (std::size_t i = 0; i < memo.second.values.size(); ++i) {
-      EXPECT_EQ(memo.second.values[i].path, direct.second.values[i].path);
-      EXPECT_EQ(memo.second.values[i].value, direct.second.values[i].value)
-          << "stat diverges with memoization: " << memo.second.values[i].path;
+    World memo_world;
+    World direct_world;
+    direct_world.memoize = false;
+    const WorldResult memo = run_world(sel, memo_world);
+    const WorldResult direct = run_world(sel, direct_world);
+    ASSERT_FALSE(memo.log.empty());
+    ASSERT_EQ(memo.log, direct.log) << "pick sequence diverges with memoization";
+    ASSERT_EQ(memo.stats.size(), direct.stats.size());
+    for (std::size_t i = 0; i < memo.stats.values.size(); ++i) {
+      EXPECT_EQ(memo.stats.values[i].path, direct.stats.values[i].path);
+      EXPECT_EQ(memo.stats.values[i].value, direct.stats.values[i].value)
+          << "stat diverges with memoization: " << memo.stats.values[i].path;
+    }
+  }
+}
+
+// Differential check for the unit-table pick: RecordingScheduler re-runs
+// every table pick as a scan and asserts the same index, here across the
+// configurations that stress the table's invariants — SALP units, a second
+// rank, write-drain hysteresis flipping queues, an arrive-unsorted queue
+// (the (arrive, index) order), ChargeCache ACTs (the issue_act_charged
+// recount) and interleaved PIM ops (the dirty-occupancy rebuild).
+TEST(SchedUnitTableDifferential, TablePickMatchesScan) {
+  std::vector<std::pair<const char*, World>> cases;
+  cases.emplace_back("ddr4", World{});
+  cases.emplace_back("salp", World{});
+  cases.back().second.salp = true;
+  cases.emplace_back("two_ranks", World{});
+  cases.back().second.ranks = 2;
+  cases.emplace_back("write_drain", World{});
+  cases.back().second.drain_high = 8;
+  cases.back().second.drain_low = 2;
+  cases.back().second.write_fraction = 0.5;
+  cases.emplace_back("unsorted", World{});
+  cases.back().second.shuffle_arrive = true;
+  cases.emplace_back("charge_cache", World{});
+  cases.back().second.charge_cache = true;
+  cases.emplace_back("pim", World{});
+  cases.back().second.pim_every = 400;
+  for (auto& [name, world] : cases) {
+    world.cycles = 30'000;
+    for (const SchedKind kind : {SchedKind::Fcfs, SchedKind::FrFcfs, SchedKind::FrFcfsCap}) {
+      SCOPED_TRACE(std::string(name) + "/" + to_string(kind));
+      const WorldResult r = run_world(static_cast<int>(kind), world);
+      // The table must carry most decisions, or the check proves nothing.
+      const std::size_t picks = r.log.size() / 2;
+      EXPECT_GT(r.table_picks * 2, picks);
+      if (world.charge_cache) {
+        EXPECT_GT(r.ctrl.charge_cache_hits, 0u);
+      }
+      if (world.pim_every) {
+        EXPECT_GT(r.ctrl.pim_ops_done, 0u);
+      }
+      if (world.drain_high < 48) {
+        EXPECT_GT(r.ctrl.writes_done, 0u);
+      }
     }
   }
 }
