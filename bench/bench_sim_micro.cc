@@ -170,7 +170,8 @@ Cycle run_loaded(mem::MemorySystem& sys, std::vector<bench::InjectorSpec>& cores
 // walks per scheduler pass. Runs under the default clock mode — the
 // conditions every real bench runs in — measuring the combined memoized
 // SchedView + busy skip-ahead + allocation-free serve()/manage_power()
-// win. FR-FCFS is the common case; TCM adds ranking-heavy pick loops.
+// win. FR-FCFS is the common case; TCM adds ranking-heavy pick loops; RL
+// picks on every busy cycle, each pick a Q-learning step.
 void BM_LoadedIssueLoop(benchmark::State& state, mem::SchedKind kind) {
   const auto dram_cfg = dram::DramConfig::ddr4_2400();
   auto cores = bench::hetero_mix(11);
@@ -189,6 +190,7 @@ void BM_LoadedIssueLoop(benchmark::State& state, mem::SchedKind kind) {
 }
 BENCHMARK_CAPTURE(BM_LoadedIssueLoop, fr_fcfs, mem::SchedKind::FrFcfs);
 BENCHMARK_CAPTURE(BM_LoadedIssueLoop, tcm, mem::SchedKind::Tcm);
+BENCHMARK_CAPTURE(BM_LoadedIssueLoop, rl, mem::SchedKind::Rl);
 
 // Same loaded system, both clock modes. With non-empty queues the old
 // next_event collapsed to now+1 and SkipAhead degenerated to PerCycle; the

@@ -122,6 +122,12 @@ class Channel {
   std::uint32_t unit_rank(std::size_t u) const {
     return static_cast<std::uint32_t>(u >> rank_shift_);
   }
+  /// Flat (rank, bank) id of unit `u`: rank * banks + bank. Under SALP the
+  /// subarray units of one bank share it and sit next to each other in id
+  /// order.
+  std::uint32_t bank_of_unit(std::size_t u) const {
+    return static_cast<std::uint32_t>(u >> sub_shift_);
+  }
 
   /// Rank-level gates shared by every unit of a rank, folded once per scan:
   /// `t` = max(now, rank ready), the ACT-class gate (tRRD + tFAW), the bus
@@ -288,9 +294,6 @@ class Channel {
 
   void record_act(const Coord& c, std::uint32_t row, Cycle now);
 
-  std::uint32_t bank_of_unit(std::size_t u) const {
-    return static_cast<std::uint32_t>(u >> sub_shift_);
-  }
   void open_unit(std::size_t u, std::uint32_t row) {
     if (!unit_open_[u]) {
       unit_open_[u] = 1;

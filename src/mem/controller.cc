@@ -27,6 +27,7 @@ Controller::Controller(dram::Channel& chan, const dram::AddressMapper& mapper,
     oc.slot.assign(chan.unit_count(), UnitSlot{});
     oc.listed.assign(chan.unit_count(), 0);
     oc.units.reserve(chan.unit_count());
+    oc.core_live.assign(cfg.num_cores, 0);
   }
   {
     // One burst issues per cycle and completes within a fixed latency, so
@@ -36,7 +37,6 @@ Controller::Controller(dram::Channel& chan, const dram::AddressMapper& mapper,
     backing.reserve(cfg.read_queue_size + cfg.write_queue_size);
     inflight_ = decltype(inflight_)(std::greater<>{}, std::move(backing));
   }
-  read_q_count_.assign(cfg.num_cores, 0);
   rank_last_activity_.assign(chan.config().geometry.ranks, 0);
   rank_work_.assign(chan.config().geometry.ranks, 0);
   if (cfg.memoize_timing) timing_cache_.attach(chan);
@@ -115,8 +115,6 @@ bool Controller::enqueue(Request req, CompletionCallback cb) {
     return false;
   }
   auto& q = req.type == AccessType::Read ? read_q_ : write_q_;
-  if (req.type == AccessType::Read && req.core < read_q_count_.size())
-    ++read_q_count_[req.core];
   req.id = next_req_id_++;
   QueuedRequest qr;
   qr.coord = mapper_.decode(req.addr);
@@ -159,6 +157,7 @@ bool Controller::enqueue(Request req, CompletionCallback cb) {
   }
   ++us.total;
   if (chan_.unit_open(u) && chan_.unit_row(u) == meta.back().row) ++us.match;
+  if (req.core < oc.core_live.size()) ++oc.core_live[req.core];
   // This queue's stashed min does not cover the new request.
   issue_min_valid_[is_read ? 0 : 1] = false;
   return true;
@@ -287,9 +286,6 @@ void Controller::serve(std::vector<QueuedRequest>& q, std::size_t idx, dram::Cmd
     cores_[qr.req.core].attained_service += tm.bl;
     ++cores_[qr.req.core].served_in_quantum;
   }
-  if (qr.req.type == AccessType::Read && qr.req.core < read_q_count_.size() &&
-      read_q_count_[qr.req.core] > 0)
-    --read_q_count_[qr.req.core];
 
   qr.req.served = now;
   inflight_.push(Inflight{done, qr.req, std::move(qr.cb)});
@@ -312,6 +308,7 @@ void Controller::serve(std::vector<QueuedRequest>& q, std::size_t idx, dram::Cmd
   UnitSlot& c = oc.slot[u];
   --c.total;
   --c.match;
+  if (qr.req.core < oc.core_live.size()) --oc.core_live[qr.req.core];
   // Chain upkeep: a drained unit's chain empties; a served head moves to
   // the unit's next live entry (one exists while total > 0). A served
   // entry mid-chain stays linked as a tombstone until compaction.
@@ -467,21 +464,20 @@ bool Controller::try_issue_from(std::vector<QueuedRequest>& q, std::size_t live,
   v.arrive_sorted = is_read ? read_q_sorted_ : write_q_sorted_;
   v.meta = (is_read ? read_meta_ : write_meta_).data();
   sched_->tick(v, q);
-  // Proven-idle skip: while the stashed queue-kernel min (which covers
-  // BOTH queues) lies in the future, no queued command is legal, so a pick
-  // could only return a request the issuable() gate below rejects — with
-  // zero state change. Eliding the scan is observably identical for pure
-  // picks; impure policies (RL) keep their exact call cadence.
+  // Proven-idle skip: while the active queue's stashed kernel min lies in
+  // the future, no queued command is legal, so a pick could only return a
+  // request the issuable() gate below rejects — with zero state change.
+  // Eliding the scan is observably identical for pure picks; impure
+  // policies (RL) keep their exact call cadence.
   const std::size_t qi = is_read ? 0 : 1;
-  UnitTable table;
-  if (sched_pick_pure_) {
-    if (stashed_issue_min(qi, now) > now) return false;
-    // The stash is valid here, so the kernel's per-unit times it recorded
-    // classify every queued command exactly as a scan would this cycle.
-    const UnitOcc& oc = occ_[qi];
-    table = UnitTable{oc.units.data(), oc.units.size(), oc.slot.data()};
-    v.units = &table;
-  }
+  const Cycle issue_min = stashed_issue_min(qi, now);
+  if (sched_pick_pure_ && issue_min > now) return false;
+  // The stash is valid here, so the kernel's per-unit times it recorded
+  // classify every queued command exactly as a scan would this cycle.
+  const UnitOcc& oc = occ_[qi];
+  const UnitTable table{oc.units.data(), oc.units.size(), oc.slot.data(),
+                        oc.core_live.data(), oc.core_live.size()};
+  v.units = &table;
   const std::size_t idx = sched_->pick(q, v);
   if (idx == kNoPick) return false;
   assert(idx < q.size() && q[idx].live);

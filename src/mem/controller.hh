@@ -116,8 +116,9 @@ class Controller {
   bool can_accept(AccessType type, std::uint32_t core = kAnyCore) const {
     if (type == AccessType::Write) return write_q_live_ < cfg_.write_queue_size;
     if (read_q_live_ >= cfg_.read_queue_size) return false;
-    if (cfg_.per_core_read_quota > 0 && core != kAnyCore && core < read_q_count_.size())
-      return read_q_count_[core] < cfg_.per_core_read_quota;
+    const std::vector<std::uint32_t>& per_core = occ_[0].core_live;
+    if (cfg_.per_core_read_quota > 0 && core != kAnyCore && core < per_core.size())
+      return per_core[core] < cfg_.per_core_read_quota;
     return true;
   }
 
@@ -273,7 +274,6 @@ class Controller {
   bool write_q_sorted_ = true;
   Cycle read_q_last_arrive_ = 0;
   Cycle write_q_last_arrive_ = 0;
-  std::vector<std::uint32_t> read_q_count_;  // per-core read-queue occupancy
   // Compact per-queue scan metadata (QueueScanMeta, sched.hh), index-
   // parallel to read_q_/write_q_ including tombstones: feeds next_event's
   // classify pass and the schedulers' pick scans without touching the fat
@@ -302,12 +302,16 @@ class Controller {
   // advances a served head past tombstones or empties a drained unit's
   // chain, and serve's compaction relinks every chain. Recounts
   // (refresh_unit_occ, rebuild_occ) walk one unit's chain, and the kernel
-  // records each occupied unit's legality in its slot, so a pure pick
+  // records each occupied unit's legality in its slot, so every pick
   // reads both through SchedView::units (DESIGN.md "Unit-table pick").
+  // `core_live` counts each core's live entries in the queue (enqueue
+  // and serve keep it): the read queue's doubles as the per-core read
+  // quota, and both feed the table's per-core load.
   struct UnitOcc {
-    std::vector<UnitSlot> slot;         // counts, chain ends, kernel times
-    std::vector<std::uint8_t> listed;   // unit present in `units`
-    std::vector<std::uint32_t> units;   // occupied units, kept sorted
+    std::vector<UnitSlot> slot;            // counts, chain ends, kernel times
+    std::vector<std::uint8_t> listed;      // unit present in `units`
+    std::vector<std::uint32_t> units;      // occupied units, kept sorted
+    std::vector<std::uint32_t> core_live;  // live entries per core
   };
   mutable UnitOcc occ_[2];  // 0 = read queue, 1 = write queue
   mutable bool occ_dirty_ = false;

@@ -82,12 +82,17 @@ struct UnitSlot {
 
 /// The active queue's occupied units and their slots (see DESIGN.md
 /// "Unit-table pick"). Offered only while the controller's kernel stash is
-/// valid; first-ready pickers then fold over units and walk the chains of
-/// units with a legal command instead of classifying every queue entry.
+/// valid; first-ready pickers and RL then fold over units and walk the
+/// chains of units with a legal command instead of classifying every
+/// queue entry.
+/// `core_live[c]` counts the queue's live entries from core `c` for every
+/// core the controller accounts (`cores` of them).
 struct UnitTable {
   const std::uint32_t* units = nullptr;  // occupied units, ascending
   std::size_t count = 0;
   const UnitSlot* slots = nullptr;       // indexed by unit
+  const std::uint32_t* core_live = nullptr;
+  std::size_t cores = 0;
 };
 
 /// Per-core accounting the fairness-oriented schedulers need.
@@ -236,9 +241,9 @@ struct SchedView {
   // the cache, live(i)/issue_class_at(i) answer off 16-byte entries without
   // touching the queue structs — byte-identical results by construction.
   const QueueScanMeta* meta = nullptr;
-  // Per-unit legality and chains of the active queue (requires meta). Set
-  // only for pure-pick policies once the controller has proven some queued
-  // command legal this cycle; null everywhere else, where pickers scan.
+  // Per-unit legality, chains and per-core counts of the active queue
+  // (requires meta). The controller sets it on every pick; null in
+  // hand-built views, where pickers scan.
   const UnitTable* units = nullptr;
 
   [[gnu::always_inline]] inline bool live(std::size_t i,

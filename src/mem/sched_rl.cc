@@ -10,6 +10,7 @@
 //   reward = data bursts issued since the previous decision (bus
 //            utilization, the same reward Ipek et al. use)
 #include <algorithm>
+#include <bit>
 
 #include "common/ckpt.hh"
 #include "learn/qlearn.hh"
@@ -49,7 +50,11 @@ class RlScheduler final : public Scheduler {
 
   std::size_t pick(const std::vector<QueuedRequest>& q, const SchedView& v) override {
     if (q.empty()) return kNoPick;
-    const std::uint64_t s = state_hash(q, v);
+    // The unit table answers every feature and action exactly as the scans
+    // do (DESIGN.md "Unit-table pick"), provided it counts every core this
+    // policy weighs; otherwise the scans run.
+    const bool by_unit = v.units != nullptr && v.units->cores >= num_cores_;
+    const std::uint64_t s = by_unit ? state_hash_by_unit(v) : state_hash(q, v);
 
     if (have_prev_) {
       const double reward = static_cast<double>(served_since_decision_);
@@ -72,6 +77,7 @@ class RlScheduler final : public Scheduler {
               .tid = static_cast<std::uint16_t>(a), .arg0 = a, .arg1 = s,
               .name = kActionNames[a]);
 
+    if (by_unit) return select_by_unit(q, v, static_cast<RlAction>(a));
     std::size_t i = select(q, v, static_cast<RlAction>(a));
     if (i != kNoPick) return i;
     // Fallback chain keeps the controller busy even when the chosen class
@@ -88,8 +94,8 @@ class RlScheduler final : public Scheduler {
   // Every pick() is an RL step: it learns from the previous decision,
   // decays epsilon and draws from the RNG. Skipping a busy cycle would
   // drop a step and desynchronize the RNG stream between clock modes, so
-  // the RL scheduler stays on the per-cycle cadence (it still benefits
-  // from the memoized timing view).
+  // the RL scheduler stays on the per-cycle cadence; each step reads the
+  // controller's unit table instead of scanning the queue.
   Cycle next_event(Cycle now) const override { return now + 1; }
 
   std::string name() const override { return "RL"; }
@@ -110,8 +116,9 @@ class RlScheduler final : public Scheduler {
 
   const learn::QAgent& agent() const { return *agent_; }
 
-  // The stamped scratch (bank_count_/core_load_) is rebuilt from scratch on
-  // every pick, so only the learning state and decision counters persist.
+  // The scan path's stamped scratch (bank_count_/core_load_) is rebuilt on
+  // every pick and the table path keeps none, so only the learning state
+  // and decision counters persist.
   void save_state(ckpt::Sink& s) const override {
     agent_->save_state(s);
     s.u64(prev_state_);
@@ -136,7 +143,7 @@ class RlScheduler final : public Scheduler {
   }
 
  private:
-  // pick() runs every scheduling decision, so the state features and the
+  // Scan path (views without a unit table). The state features and the
   // loaded-bank histogram use stamped flat scratch instead of per-call
   // unordered containers: a slot is "present" iff its stamp matches the
   // current token, so clearing is one counter bump. Slots grow on first
@@ -171,13 +178,14 @@ class RlScheduler final : public Scheduler {
       seen = 1;
       if (r.req.core < num_cores_) max_core_load = std::max(max_core_load, ++core_load_[r.req.core]);
     }
+    return hash_features(live, hits, issuable, distinct_banks, max_core_load);
+  }
+
+  static std::uint64_t hash_features(std::uint32_t live, std::uint32_t hits,
+                                     std::uint32_t issuable, std::uint32_t distinct_banks,
+                                     std::uint32_t max_core_load) {
     auto bucket = [](std::uint32_t x) -> std::uint64_t {  // log2-ish buckets
-      std::uint64_t b = 0;
-      while (x > 0 && b < 7) {
-        x >>= 1;
-        ++b;
-      }
-      return b;
+      return std::min<std::uint64_t>(std::bit_width(x), 7);
     };
     learn::StateHash h;
     h.add(bucket(live))
@@ -186,6 +194,133 @@ class RlScheduler final : public Scheduler {
         .add(bucket(distinct_banks))
         .add(bucket(max_core_load));
     return h.value();
+  }
+
+  // Table path: the five features from the occupied units alone. Only an
+  // open unit's `match` is current (a closed unit's is stale until its next
+  // ACT), and an entry is issuable when its class — RD/WR on the open row,
+  // else ACT or PRE — is legal now. Units run in id order, so the SALP
+  // subarrays of one bank are adjacent and distinct banks are bank-id
+  // changes.
+  std::uint64_t state_hash_by_unit(const SchedView& v) const {
+    const UnitTable& t = *v.units;
+    std::uint32_t live = 0, hits = 0, issuable = 0, distinct_banks = 0;
+    std::uint32_t max_core_load = 0;
+    std::uint32_t last_bank = ~0u;
+    for (std::size_t k = 0; k < t.count; ++k) {
+      const std::uint32_t u = t.units[k];
+      const UnitSlot& us = t.slots[u];
+      live += us.total;
+      const bool ready_ok = us.ready_at <= v.now;
+      if (v.chan->unit_open(u)) {
+        hits += us.match;
+        if (us.hit_at <= v.now) issuable += us.match;
+        if (ready_ok) issuable += us.total - us.match;
+      } else if (ready_ok) {
+        issuable += us.total;
+      }
+      const std::uint32_t bank = v.chan->bank_of_unit(u);
+      if (bank != last_bank) {
+        ++distinct_banks;
+        last_bank = bank;
+      }
+    }
+    for (std::uint32_t c = 0; c < num_cores_; ++c)
+      max_core_load = std::max(max_core_load, t.core_live[c]);
+    return hash_features(live, hits, issuable, distinct_banks, max_core_load);
+  }
+
+  // Calls f(i) for every live entry i of unit `u` whose required command is
+  // legal now; walks nothing when neither of the unit's classes is.
+  template <typename F>
+  static void for_each_issuable(const SchedView& v, std::uint32_t u, F&& f) {
+    const UnitSlot& us = v.units->slots[u];
+    const bool hit_ok = us.hit_at <= v.now;
+    const bool ready_ok = us.ready_at <= v.now;
+    if (!hit_ok && !ready_ok) return;
+    const bool open = v.chan->unit_open(u);
+    const std::uint32_t row = v.chan->unit_row(u);
+    for (std::uint32_t i = us.head; i != QueueScanMeta::kChainEnd; i = v.meta[i].next) {
+      const QueueScanMeta& m = v.meta[i];
+      if (!(m.flags & QueueScanMeta::kLive)) continue;
+      if (open && m.row == row ? hit_ok : ready_ok) f(i);
+    }
+  }
+
+  // The scan's decisions off the unit table, index for index: the chosen
+  // class, else (the row-hit action only) the oldest issuable, else the
+  // oldest live. Every argmin/argmax compares (key, index) like the scans'
+  // strict comparisons over ascending indices.
+  std::size_t select_by_unit(const std::vector<QueuedRequest>& q, const SchedView& v,
+                             RlAction a) const {
+    const UnitTable& t = *v.units;
+    std::size_t best = kNoPick;
+    switch (a) {
+      case kServeRowHit:
+      case kServeOldest: {
+        const FirstReady fr =
+            first_ready_by_unit(q, v, [](const QueuedRequest&) { return true; });
+        best = a == kServeRowHit && fr.hit != kNoPick ? fr.hit : fr.ready;
+        break;
+      }
+      case kServeLeastServed: {
+        auto service = [&](std::uint32_t core) -> std::uint64_t {
+          if (!v.cores || core >= v.cores->size()) return 0;
+          return (*v.cores)[core].attained_service;
+        };
+        std::uint64_t best_service = 0;
+        for (std::size_t k = 0; k < t.count; ++k) {
+          for_each_issuable(v, t.units[k], [&](std::size_t i) {
+            const std::uint64_t sv = service(q[i].req.core);
+            if (best == kNoPick || sv < best_service || (sv == best_service && i < best)) {
+              best = i;
+              best_service = sv;
+            }
+          });
+        }
+        break;
+      }
+      case kServeLoadedBank: {
+        // A bank's load is the live entries over its units, which sit next
+        // to each other in the unit list: units [k, e) share one bank.
+        std::uint32_t best_load = 0;
+        for (std::size_t k = 0; k < t.count;) {
+          const std::uint32_t bank = v.chan->bank_of_unit(t.units[k]);
+          std::size_t e = k;
+          std::uint32_t load = 0;
+          for (; e < t.count && v.chan->bank_of_unit(t.units[e]) == bank; ++e)
+            load += t.slots[t.units[e]].total;
+          for (; k < e; ++k) {
+            for_each_issuable(v, t.units[k], [&](std::size_t i) {
+              if (best == kNoPick || load > best_load || (load == best_load && i < best)) {
+                best = i;
+                best_load = load;
+              }
+            });
+          }
+        }
+        break;
+      }
+      default:
+        break;
+    }
+    if (best != kNoPick) return best;
+    // Nothing legal: the oldest live entry. Heads are live and a chain
+    // runs in index order, so on a sorted queue it is the lowest head.
+    for (std::size_t k = 0; k < t.count; ++k) {
+      const UnitSlot& us = t.slots[t.units[k]];
+      if (v.arrive_sorted) {
+        best = std::min<std::size_t>(best, us.head);
+        continue;
+      }
+      for (std::uint32_t i = us.head; i != QueueScanMeta::kChainEnd; i = v.meta[i].next) {
+        if (!(v.meta[i].flags & QueueScanMeta::kLive)) continue;
+        if (best == kNoPick || q[i].req.arrive < q[best].req.arrive ||
+            (q[i].req.arrive == q[best].req.arrive && i < best))
+          best = i;
+      }
+    }
+    return best;
   }
 
   std::size_t select(const std::vector<QueuedRequest>& q, const SchedView& v, RlAction a) const {

@@ -193,21 +193,25 @@ TEST_F(SchedFixture, AllSchedulersReturnValidIndicesUnderChurn) {
 // Forwards every Scheduler call to the wrapped policy, logging each pick
 // as (cycle, request id) — the probe for the memoization differential.
 // pick_is_pure is forwarded too, so the controller's pick elision and its
-// unit table apply exactly as they would to the bare policy. Every pick
-// that carries a unit table is re-run with the table removed: the scan is
-// the oracle the table pick must reproduce index for index.
+// unit table apply exactly as they would to the bare policy. A pure
+// policy's table pick is re-run with the table removed: the scan is the
+// oracle the table pick must reproduce index for index. An impure pick
+// (RL learns and draws from its RNG) cannot run twice; its oracle is a
+// whole second run with `scan_only`, which strips every table.
 class RecordingScheduler final : public Scheduler {
  public:
   RecordingScheduler(std::unique_ptr<Scheduler> inner, std::vector<std::uint64_t>* log,
-                     std::uint64_t* table_picks = nullptr)
-      : inner_(std::move(inner)), log_(log), table_picks_(table_picks) {}
+                     std::uint64_t* table_picks = nullptr, bool scan_only = false)
+      : inner_(std::move(inner)), log_(log), table_picks_(table_picks), scan_only_(scan_only) {}
 
   std::size_t pick(const std::vector<QueuedRequest>& q, const SchedView& v) override {
-    const std::size_t idx = inner_->pick(q, v);
-    if (v.units) {
-      SchedView scan = v;
-      scan.units = nullptr;
-      EXPECT_EQ(inner_->pick(q, scan), idx) << "unit-table pick diverges at cycle " << v.now;
+    SchedView scan = v;
+    scan.units = nullptr;
+    const std::size_t idx = inner_->pick(q, scan_only_ ? scan : v);
+    if (v.units && !scan_only_) {
+      if (inner_->pick_is_pure()) {
+        EXPECT_EQ(inner_->pick(q, scan), idx) << "unit-table pick diverges at cycle " << v.now;
+      }
       if (table_picks_) ++*table_picks_;
     }
     log_->push_back(v.now);
@@ -222,12 +226,16 @@ class RecordingScheduler final : public Scheduler {
   }
   Cycle next_event(Cycle now) const override { return inner_->next_event(now); }
   bool pick_is_pure() const override { return inner_->pick_is_pure(); }
+  void register_stats(obs::StatRegistry& reg, const std::string& prefix) const override {
+    inner_->register_stats(reg, prefix);
+  }
   std::string name() const override { return inner_->name(); }
 
  private:
   std::unique_ptr<Scheduler> inner_;
   std::vector<std::uint64_t>* log_;
   std::uint64_t* table_picks_;
+  bool scan_only_;
 };
 
 // One saturated closed-loop world for the scheduler differentials: four
@@ -243,6 +251,7 @@ struct World {
   double write_fraction = 0.2;  // StreamParams default
   bool shuffle_arrive = false;  // stamp some requests with an earlier arrive
   Cycle pim_every = 0;          // enqueue one PIM op per this many cycles
+  bool scan_only = false;       // strip the unit table from every pick
   Cycle cycles = 60'000;
 };
 
@@ -269,7 +278,7 @@ WorldResult run_world(int sel, const World& w) {
   WorldResult out;
   sys.controller(0).set_scheduler(std::make_unique<RecordingScheduler>(
       sel < 0 ? make_mise(4) : make_scheduler(static_cast<SchedKind>(sel), 4, 7), &out.log,
-      &out.table_picks));
+      &out.table_picks, w.scan_only));
   obs::StatRegistry reg;
   sys.register_stats(reg, "mem");
 
@@ -337,6 +346,18 @@ WorldResult run_world(int sel, const World& w) {
   return out;
 }
 
+// Asserts two runs made the same picks and ended with the same stats;
+// `what` names the difference between them.
+void expect_same_run(const WorldResult& a, const WorldResult& b, const char* what) {
+  ASSERT_EQ(a.log, b.log) << "pick sequence diverges with " << what;
+  ASSERT_EQ(a.stats.size(), b.stats.size());
+  for (std::size_t i = 0; i < a.stats.values.size(); ++i) {
+    EXPECT_EQ(a.stats.values[i].path, b.stats.values[i].path);
+    EXPECT_EQ(a.stats.values[i].value, b.stats.values[i].value)
+        << "stat diverges with " << what << ": " << a.stats.values[i].path;
+  }
+}
+
 // Differential check for the per-cycle timing memo (SchedTimingCache): with
 // ControllerConfig::memoize_timing on vs off, every policy must make the
 // *identical* pick sequence and end with identical stats on the same
@@ -352,23 +373,16 @@ TEST(SchedMemoDifferential, AllKindsPickIdentically) {
     const WorldResult memo = run_world(sel, memo_world);
     const WorldResult direct = run_world(sel, direct_world);
     ASSERT_FALSE(memo.log.empty());
-    ASSERT_EQ(memo.log, direct.log) << "pick sequence diverges with memoization";
-    ASSERT_EQ(memo.stats.size(), direct.stats.size());
-    for (std::size_t i = 0; i < memo.stats.values.size(); ++i) {
-      EXPECT_EQ(memo.stats.values[i].path, direct.stats.values[i].path);
-      EXPECT_EQ(memo.stats.values[i].value, direct.stats.values[i].value)
-          << "stat diverges with memoization: " << memo.stats.values[i].path;
-    }
+    expect_same_run(memo, direct, "memoization");
   }
 }
 
-// Differential check for the unit-table pick: RecordingScheduler re-runs
-// every table pick as a scan and asserts the same index, here across the
-// configurations that stress the table's invariants — SALP units, a second
-// rank, write-drain hysteresis flipping queues, an arrive-unsorted queue
-// (the (arrive, index) order), ChargeCache ACTs (the issue_act_charged
-// recount) and interleaved PIM ops (the dirty-occupancy rebuild).
-TEST(SchedUnitTableDifferential, TablePickMatchesScan) {
+// The configurations that stress the unit table's invariants — SALP
+// units, a second rank, write-drain hysteresis flipping queues, an
+// arrive-unsorted queue (the (arrive, index) order), ChargeCache ACTs (the
+// issue_act_charged recount) and interleaved PIM ops (the dirty-occupancy
+// rebuild).
+std::vector<std::pair<const char*, World>> unit_table_worlds() {
   std::vector<std::pair<const char*, World>> cases;
   cases.emplace_back("ddr4", World{});
   cases.emplace_back("salp", World{});
@@ -385,8 +399,15 @@ TEST(SchedUnitTableDifferential, TablePickMatchesScan) {
   cases.back().second.charge_cache = true;
   cases.emplace_back("pim", World{});
   cases.back().second.pim_every = 400;
-  for (auto& [name, world] : cases) {
-    world.cycles = 30'000;
+  for (auto& c : cases) c.second.cycles = 30'000;
+  return cases;
+}
+
+// Differential check for the unit-table pick: RecordingScheduler re-runs
+// every table pick of the first-ready policies as a scan and asserts the
+// same index, in each of those worlds.
+TEST(SchedUnitTableDifferential, TablePickMatchesScan) {
+  for (const auto& [name, world] : unit_table_worlds()) {
     for (const SchedKind kind : {SchedKind::Fcfs, SchedKind::FrFcfs, SchedKind::FrFcfsCap}) {
       SCOPED_TRACE(std::string(name) + "/" + to_string(kind));
       const WorldResult r = run_world(static_cast<int>(kind), world);
@@ -403,6 +424,31 @@ TEST(SchedUnitTableDifferential, TablePickMatchesScan) {
         EXPECT_GT(r.ctrl.writes_done, 0u);
       }
     }
+  }
+}
+
+// RL's table path must make the scan path's decision on every call: an
+// RL run with the unit table and one with every table stripped must log
+// the same picks and end with the same stats — the RL scheduler's
+// decision, action, epsilon and reward stats included, so the Q-learning
+// steps and their RNG draws match too.
+TEST(SchedUnitTableDifferential, RlTableRunMatchesScanRun) {
+  auto cases = unit_table_worlds();
+  cases.emplace_back("direct_timing", World{});
+  cases.back().second.memoize = false;
+  cases.back().second.cycles = 30'000;
+  for (const auto& [name, world] : cases) {
+    SCOPED_TRACE(name);
+    World scan_world = world;
+    scan_world.scan_only = true;
+    const int rl = static_cast<int>(SchedKind::Rl);
+    const WorldResult table = run_world(rl, world);
+    const WorldResult scan = run_world(rl, scan_world);
+    ASSERT_FALSE(table.log.empty());
+    EXPECT_EQ(scan.table_picks, 0u);
+    // The table must carry most decisions, or the check proves nothing.
+    EXPECT_GT(table.table_picks * 2, table.log.size() / 2);
+    expect_same_run(table, scan, "the unit table");
   }
 }
 
