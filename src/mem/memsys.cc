@@ -22,6 +22,7 @@ MemorySystem::MemorySystem(const dram::DramConfig& dram_cfg, const ControllerCon
     chans_.push_back(std::make_unique<dram::Channel>(dram_cfg, ch, data_.get()));
     ctrls_.push_back(std::make_unique<Controller>(*chans_.back(), *mapper_, ctrl_cfg));
   }
+  visits_.resize(ctrls_.size());
 }
 
 MemorySystem::~MemorySystem() = default;
@@ -99,6 +100,10 @@ Cycle MemorySystem::drain_sourced(const ChannelSource& src, Cycle from, Cycle de
   if (!src.next)
     throw std::logic_error("drain_sourced: ChannelSource::next is required");
   feeds_.assign(ctrls_.size(), Feed{});
+  // One copy per drain, not per request: sourced completions reach the
+  // mailboxes bare (Mail::cb null) and deliver_mail routes them here. A
+  // clipped drain's stragglers go to the most recent source's hook.
+  sourced_complete_ = src.on_complete;
   return drain_epochs(from, deadline, &src);
 }
 
@@ -106,9 +111,10 @@ CompletionCallback MemorySystem::defer_to_mailbox(std::uint32_t ch, CompletionCa
   if (!cb) return nullptr;
   if (mail_.size() != ctrls_.size()) mail_.resize(ctrls_.size());
   // Fires exactly once, on the owning shard's thread, into the channel's
-  // private mailbox; the barrier delivers it on the coordinator.
-  return [this, ch, inner = std::move(cb)](const Request& r) {
-    mail_[ch].push_back(Mail{r, inner});
+  // private mailbox; the barrier delivers it on the coordinator. Firing
+  // once is what makes moving `inner` out safe.
+  return [this, ch, inner = std::move(cb)](const Request& r) mutable {
+    mail_[ch].push_back(Mail{r, std::move(inner)});
   };
 }
 
@@ -130,7 +136,8 @@ void MemorySystem::deliver_mail() {
                    });
   for (const auto& [ch, i] : mail_order_) {
     Mail& m = mail_[ch][i];
-    m.cb(m.req);
+    if (m.cb) m.cb(m.req);
+    else if (sourced_complete_) sourced_complete_(ch, m.req);
   }
   for (auto& box : mail_) box.clear();
 }
@@ -157,14 +164,17 @@ void MemorySystem::feed_channel(const ChannelSource& src, std::uint32_t c, Cycle
     Request req = std::move(f.pending);
     f.has_pending = false;
     req.arrive = now;
+    // Bare mail: a two-word closure (stored inline by std::function, so no
+    // allocation) whose null Mail::cb tells deliver_mail to hand the
+    // request to sourced_complete_.
     CompletionCallback cb;
     if (src.on_complete) {
-      cb = [fn = src.on_complete, c](const Request& done) { fn(c, done); };
+      cb = [this, c](const Request& done) { mail_[c].push_back(Mail{done, nullptr}); };
     }
     // can_accept passed, so admission cannot fail; a reject here would mean
     // the two checks disagree and the request (plus its callback) would
     // vanish — exactly the silent-loss bug the bool return exists to catch.
-    const bool ok = ctrls_[c]->enqueue(std::move(req), defer_to_mailbox(c, std::move(cb)));
+    const bool ok = ctrls_[c]->enqueue(std::move(req), std::move(cb));
     assert(ok && "controller rejected a request can_accept() admitted");
     (void)ok;
   }
@@ -173,34 +183,59 @@ void MemorySystem::feed_channel(const ChannelSource& src, std::uint32_t c, Cycle
 void MemorySystem::run_shard_span(std::size_t g, Cycle from, Cycle limit,
                                   const ChannelSource* src) {
   const auto [beg, end] = groups_[g];
+  // Per-channel due cursors: each channel is fed and ticked only at its own
+  // event cycles, never at the union of its group's. Exact because nothing
+  // outside tick_fn touches a channel inside a span and a tick at a
+  // non-event cycle is a no-op (per-cycle == skip-ahead); so a channel's
+  // tick set — and visit count — is a function of its own state alone, the
+  // same at any shard width. Reset at every span start: the barrier may
+  // have enqueued into any channel. PerCycle never calls next_fn, so every
+  // cursor stays at `from` and the reference mode ticks every cycle. The
+  // cursors and counts live in this span's frame, on the shard's own
+  // thread: per-tick writes to a shared per-channel array would bounce
+  // cache lines between shards.
+  const std::uint32_t n = end - beg;
+  std::vector<Cycle> due(n, from);
+  std::vector<std::uint64_t> visits(n, 0);
   const auto tick_fn = [&](Cycle now) {
-    for (std::uint32_t c = beg; c < end; ++c) {
-      if (src) feed_channel(*src, c, now);
-      ctrls_[c]->tick(now);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      if (now < due[i]) continue;
+      ++visits[i];
+      if (src) feed_channel(*src, beg + i, now);
+      ctrls_[beg + i]->tick(now);
     }
   };
   const auto next_fn = [&](Cycle now) {
     Cycle nxt = kCycleNever;
-    for (std::uint32_t c = beg; c < end; ++c) {
-      if (src && !feeds_[c].exhausted) {
-        const Feed& f = feeds_[c];
-        // A future-dated held request lets the channel skip ahead to its
-        // arrival cycle; otherwise a live feeder runs per-cycle — "when can
-        // the queue accept again" has no cheap closed form. Either way the
-        // channel's tick set is a function of its own feed state alone —
-        // never of which group (and so which union of event cycles) it
-        // shares. That independence is what keeps results width-invariant.
-        if (!f.has_pending || f.pending.arrive <= now) return now + 1;
-        nxt = std::min(nxt, f.pending.arrive);
-      }
-      nxt = std::min(nxt, ctrls_[c]->next_event(now));
+    for (std::uint32_t i = 0; i < n; ++i) {
+      // Only the channels ticked at `now` can have a new next event.
+      if (due[i] <= now) due[i] = std::max(channel_next_event(src, beg + i, now), now + 1);
+      nxt = std::min(nxt, due[i]);
     }
     return nxt;
   };
   // done is never true: every shard runs the full epoch span so idle-early
-  // shards keep ticking refresh/power state exactly like the legacy global
-  // loop does while other channels stay busy.
+  // channels still tick their refresh/power events, exactly as the legacy
+  // global loop does while other channels stay busy.
   sim::run_event_loop(clock_mode_, from, limit, tick_fn, [] { return false; }, next_fn);
+  for (std::uint32_t i = 0; i < n; ++i) visits_[beg + i] += visits[i];
+}
+
+Cycle MemorySystem::channel_next_event(const ChannelSource* src, std::uint32_t c,
+                                       Cycle now) const {
+  if (src && !feeds_[c].exhausted) {
+    const Feed& f = feeds_[c];
+    // Not yet polled: poll next cycle.
+    if (!f.has_pending) return now + 1;
+    // A future-dated held request is due at its arrival cycle. One already
+    // due but refused (backpressure) adds no term: can_accept changes only
+    // on enqueue/serve, both inside this channel's tick, and this runs
+    // after every tick — so the controller's own next event covers it.
+    if (f.pending.arrive > now)
+      return std::min(f.pending.arrive, ctrls_[c]->next_event(now));
+    if (ctrls_[c]->can_accept(f.pending.type, f.pending.core)) return now + 1;
+  }
+  return ctrls_[c]->next_event(now);
 }
 
 unsigned MemorySystem::decide_shard_workers() const {

@@ -139,7 +139,16 @@ class MemorySystem {
   /// Epoch-barrier drain with per-channel feeders: runs until every source
   /// is exhausted and every queue drained (or `deadline`). Requires an
   /// armed shard plan (set_shards; shards = 1 is the serial reference —
-  /// byte-identical to any wider plan). The returned cycle is
+  /// byte-identical to any wider plan). Inside an epoch each channel is fed
+  /// and ticked only at its own event cycles: a controller event, a
+  /// time-dated request's arrival, or the cycle after a tick that left a
+  /// due request the queue can accept. A due request the queue refuses
+  /// waits for the controller's next event, not the next cycle. Completions
+  /// reach the mailboxes as bare requests and are handed to a per-drain
+  /// copy of src.on_complete on the coordinator, with no per-request
+  /// closure (a clipped drain's late completions go to the next sourced
+  /// drain's hook, dropped if it has none, or under drain() to the last
+  /// sourced drain's). The returned cycle is
   /// epoch-quantized — see drain() for why it must never be used as a
   /// latency endpoint — and deadline exhaustion is surfaced exactly like
   /// drain()'s (clip counter + optional throw): a low-rate open-loop run
@@ -173,6 +182,12 @@ class MemorySystem {
   /// Appends one ShardProgress per shard group (per channel when no plan
   /// is armed): the obs::Watchdog::set_shard_progress payload.
   void shard_progress(std::vector<obs::ShardProgress>& out) const;
+
+  /// Sharded-span ticks of channel `ch` over this system's lifetime (every
+  /// cycle under PerCycle; only the channel's own event cycles under
+  /// SkipAhead, at any shard width). A host-side diagnostic, deliberately
+  /// not in the StatRegistry: registry renders are part of every digest.
+  std::uint64_t channel_visits(std::uint32_t ch) const { return visits_[ch]; }
 
   void set_clock_mode(sim::ClockMode mode) { clock_mode_ = mode; }
   sim::ClockMode clock_mode() const { return clock_mode_; }
@@ -256,14 +271,19 @@ class MemorySystem {
   CompletionCallback defer_to_mailbox(std::uint32_t ch, CompletionCallback cb);
   /// Delivers all mailboxes in canonical (completion cycle, channel,
   /// arrival) order — exactly the order the legacy serial drain fires
-  /// callbacks in — then clears them.
+  /// callbacks in — then clears them. Bare mail (null cb) goes to
+  /// sourced_complete_.
   void deliver_mail();
   /// Advances shard group `g` from `from` to `limit` via its own event
-  /// loop (runs on a pool worker; touches only the group's channels).
+  /// loop, ticking each channel only at that channel's own events (runs on
+  /// a pool worker; touches only the group's channels).
   void run_shard_span(std::size_t g, Cycle from, Cycle limit, const ChannelSource* src);
   /// Feeds channel `c` from `src` until its queue rejects or the stream
   /// exhausts (shard-thread side).
   void feed_channel(const ChannelSource& src, std::uint32_t c, Cycle now);
+  /// Channel `c`'s next event after a tick at `now`: its controller's, or
+  /// its feed's (shard-thread side).
+  Cycle channel_next_event(const ChannelSource* src, std::uint32_t c, Cycle now) const;
   /// Host-thread width for this drain: the armed shard count, collapsed to
   /// 1 when nested in a pool region, tracing, or sharing a victim model.
   unsigned decide_shard_workers() const;
@@ -294,6 +314,8 @@ class MemorySystem {
   std::vector<std::pair<std::uint32_t, std::uint32_t>> groups_;  // [begin,end) per shard
   std::vector<std::vector<Mail>> mail_;                // per channel, shard-written
   std::vector<Feed> feeds_;                            // per channel, shard-written
+  std::vector<std::uint64_t> visits_;                  // per channel, span-end writes
+  std::function<void(std::uint32_t, const Request&)> sourced_complete_;
   std::vector<std::pair<std::uint32_t, std::uint32_t>> mail_order_;  // scratch
   // Liveness token for the registry's registration-epoch check (see
   // obs/stat_registry.hh): reads after this MemorySystem dies throw.

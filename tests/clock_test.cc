@@ -9,6 +9,8 @@
 
 #include <functional>
 #include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/clock.hh"
@@ -453,6 +455,209 @@ TEST(ClockExact, HybridMemoryDrain) {
   EXPECT_EQ(pc.second.migration_lines, sa.second.migration_lines);
   // The config must actually have exercised the migration machinery.
   EXPECT_GT(sa.second.promotions, 0u);
+}
+
+// --- sharded drains ----------------------------------------------------------
+//
+// The epoch-barrier engine ticks each channel only at its own event cycles
+// (per-channel due cursors), and a feed holding a due request its queue
+// refuses adds no event of its own. Both are exact only if PerCycle — which
+// ticks every channel every cycle — gives the same bytes at every width.
+
+dram::DramConfig sharded_dram() {
+  auto cfg = dram::DramConfig::ddr4_2400();
+  cfg.geometry.channels = 8;
+  cfg.geometry.banks = 4;
+  cfg.geometry.subarrays = 4;
+  cfg.geometry.rows_per_subarray = 128;
+  cfg.geometry.columns = 32;
+  return cfg;
+}
+
+constexpr Cycle kShardEpoch = 2048;
+
+/// Everything a sharded leg compares, plus the host-side visit counts.
+struct ShardedRun {
+  Cycle cycles = 0;
+  std::uint64_t checksum = 0;  // completion stream in delivery order
+  std::string render;          // full StatRegistry rendering
+  std::vector<std::uint64_t> visits;
+};
+
+void expect_same(const ShardedRun& ref, const ShardedRun& got) {
+  EXPECT_EQ(ref.cycles, got.cycles);
+  EXPECT_EQ(ref.checksum, got.checksum);
+  EXPECT_EQ(ref.render, got.render);
+}
+
+void finish(const mem::MemorySystem& sys, ShardedRun& out) {
+  obs::StatRegistry reg;
+  sys.register_stats(reg, "m");
+  std::ostringstream os;
+  for (const auto& v : reg.snapshot().values) os << v.path << '=' << v.value << '\n';
+  out.render = os.str();
+  for (std::uint32_t ch = 0; ch < sys.num_channels(); ++ch)
+    out.visits.push_back(sys.channel_visits(ch));
+}
+
+void mix(ShardedRun& out, std::uint32_t ch, const mem::Request& done) {
+  out.checksum = (out.checksum * 1099511628211ull) ^ done.addr ^
+                 (static_cast<std::uint64_t>(done.complete) << 1) ^ ch;
+}
+
+/// Request `i` of channel `ch`: a few rows per bank (row hits and
+/// conflicts both), one in four a write, cores round-robin over four.
+mem::Request sharded_req(const mem::MemorySystem& sys, std::uint32_t ch, std::uint64_t i,
+                         Cycle arrive) {
+  std::uint64_t h = (ch + 1) * 0x9E3779B97F4A7C15ull ^ (i + 7) * 0xBF58476D1CE4E5B9ull;
+  h ^= h >> 31;
+  h *= 0x94D049BB133111EBull;
+  h ^= h >> 29;
+  const auto& g = sys.dram_config().geometry;
+  dram::Coord c;
+  c.channel = ch;
+  c.rank = static_cast<std::uint32_t>(h) % g.ranks;
+  c.bank = static_cast<std::uint32_t>(h >> 8) % g.banks;
+  c.row = static_cast<std::uint32_t>(h >> 16) % 6;
+  c.column = static_cast<std::uint32_t>(h >> 40) % g.columns;
+  mem::Request r = make_req(sys.mapper().encode(c),
+                            i % 4 == 3 ? AccessType::Write : AccessType::Read, arrive);
+  r.core = static_cast<std::uint32_t>(i % 4);
+  return r;
+}
+
+/// Time-dated bursts: channel `ch` issues `bursts` bursts of 40 requests
+/// that share one arrival cycle, at a channel-specific gap, so the channels'
+/// event sets differ and every burst overruns a small queue.
+ShardedRun run_sourced(sim::ClockMode mode, unsigned shards, const mem::ControllerConfig& ctrl,
+                       std::uint64_t bursts = 5, Cycle deadline = 100'000'000) {
+  constexpr std::uint64_t kBurst = 40;
+  mem::MemorySystem sys(sharded_dram(), ctrl);
+  sys.set_clock_mode(mode);
+  sys.set_shards(shards, kShardEpoch);
+  ShardedRun out;
+  std::vector<std::uint64_t> cursor(sys.num_channels(), 0);
+  mem::MemorySystem::ChannelSource src;
+  src.next = [&](std::uint32_t ch, Cycle, mem::Request& r) {
+    std::uint64_t& i = cursor[ch];
+    if (i >= bursts * kBurst) return false;
+    r = sharded_req(sys, ch, i, 50 + (i / kBurst) * (700 + 230 * ch));
+    ++i;
+    return true;
+  };
+  src.on_complete = [&](std::uint32_t ch, const mem::Request& done) { mix(out, ch, done); };
+  out.cycles = sys.drain_sourced(src, 0, deadline);
+  finish(sys, out);
+  return out;
+}
+
+/// The three controller configs of the sourced legs: default queues;
+/// 8-entry queues with write drain 6/2 (bursts backpressure the feeds); and
+/// the same with a per-core read quota (the refusal then depends on the
+/// held request's core, not only on queue occupancy).
+std::vector<mem::ControllerConfig> sourced_configs(mem::SchedKind kind) {
+  mem::ControllerConfig base;
+  base.sched = kind;
+  base.num_cores = 4;
+  base.record_spans = true;
+  mem::ControllerConfig small = base;
+  small.read_queue_size = 8;
+  small.write_queue_size = 8;
+  small.write_drain_high = 6;
+  small.write_drain_low = 2;
+  mem::ControllerConfig quota = small;
+  quota.per_core_read_quota = 2;
+  return {base, small, quota};
+}
+
+TEST(ClockExact, ShardedSourcedDrainAllSchedulers) {
+  for (const auto kind :
+       {mem::SchedKind::Fcfs, mem::SchedKind::FrFcfs, mem::SchedKind::FrFcfsCap,
+        mem::SchedKind::ParBs, mem::SchedKind::Atlas, mem::SchedKind::Tcm,
+        mem::SchedKind::Bliss, mem::SchedKind::Rl}) {
+    const auto configs = sourced_configs(kind);
+    for (std::size_t k = 0; k < configs.size(); ++k) {
+      SCOPED_TRACE(std::string(mem::to_string(kind)) + " config " + std::to_string(k));
+      const ShardedRun ref = run_sourced(sim::ClockMode::PerCycle, 1, configs[k]);
+      for (const unsigned w : {1u, 2u, 8u}) {
+        SCOPED_TRACE("width " + std::to_string(w));
+        expect_same(ref, run_sourced(sim::ClockMode::SkipAhead, w, configs[k]));
+        if (w > 1) expect_same(ref, run_sourced(sim::ClockMode::PerCycle, w, configs[k]));
+      }
+      EXPECT_NE(ref.checksum, 0u);
+      EXPECT_GT(ref.cycles, 0u);
+    }
+  }
+}
+
+/// Closed loop under a shard plan: each completion, delivered at a barrier,
+/// enqueues the next request into another channel — often one that sat idle
+/// through the previous span, whose cursor must restart at the span start.
+ShardedRun run_closed_loop(sim::ClockMode mode, unsigned shards) {
+  constexpr std::uint64_t kTotal = 600;
+  mem::ControllerConfig ctrl;
+  ctrl.num_cores = 4;
+  ctrl.record_spans = true;
+  mem::MemorySystem sys(sharded_dram(), ctrl);
+  sys.set_clock_mode(mode);
+  sys.set_shards(shards, 256);
+  ShardedRun out;
+  std::uint64_t issued = 0;
+  std::function<void(std::uint32_t, Cycle)> issue = [&](std::uint32_t ch, Cycle at) {
+    const mem::Request r = sharded_req(sys, ch, issued++, at);
+    EXPECT_TRUE(sys.enqueue(r, [&, ch](const mem::Request& done) {
+      mix(out, ch, done);
+      if (issued < kTotal) issue((ch + 3) % sys.num_channels(), done.complete);
+    }));
+  };
+  for (std::uint32_t ch = 0; ch < sys.num_channels(); ch += 2) issue(ch, 0);
+  out.cycles = sys.drain(0);
+  EXPECT_EQ(issued, kTotal);
+  EXPECT_TRUE(sys.idle());
+  finish(sys, out);
+  return out;
+}
+
+TEST(ClockExact, ShardedClosedLoopDrain) {
+  const ShardedRun ref = run_closed_loop(sim::ClockMode::PerCycle, 1);
+  for (const unsigned w : {1u, 2u, 8u}) {
+    SCOPED_TRACE("width " + std::to_string(w));
+    expect_same(ref, run_closed_loop(sim::ClockMode::SkipAhead, w));
+    if (w > 1) expect_same(ref, run_closed_loop(sim::ClockMode::PerCycle, w));
+  }
+  EXPECT_NE(ref.checksum, 0u);
+}
+
+TEST(ShardVisits, PerChannelVisitsAreWidthInvariant) {
+  // Each channel is ticked at its own events only, so its visit count —
+  // not just its results — is the same whichever channels share its group.
+  for (const auto& ctrl : sourced_configs(mem::SchedKind::FrFcfs)) {
+    const ShardedRun w1 = run_sourced(sim::ClockMode::SkipAhead, 1, ctrl);
+    EXPECT_EQ(w1.visits, run_sourced(sim::ClockMode::SkipAhead, 2, ctrl).visits);
+    EXPECT_EQ(w1.visits, run_sourced(sim::ClockMode::SkipAhead, 8, ctrl).visits);
+    // PerCycle visits every cycle of every span.
+    const ShardedRun pc = run_sourced(sim::ClockMode::PerCycle, 2, ctrl);
+    for (std::uint32_t ch = 0; ch < pc.visits.size(); ++ch) {
+      EXPECT_EQ(pc.visits[ch], pc.cycles);
+      EXPECT_LT(w1.visits[ch], pc.visits[ch]);
+    }
+  }
+}
+
+TEST(ShardVisits, HeldBurstFeedSkipsBackpressuredCycles) {
+  // One burst of 40 per channel into 8-entry queues, clipped while every
+  // feed still holds a due request its full queue refuses: the feed adds
+  // no event, so SkipAhead visits only the controllers' own event cycles.
+  const auto ctrl = sourced_configs(mem::SchedKind::FrFcfs)[1];
+  const Cycle deadline = 200;
+  const ShardedRun pc = run_sourced(sim::ClockMode::PerCycle, 2, ctrl, 1, deadline);
+  const ShardedRun sa = run_sourced(sim::ClockMode::SkipAhead, 2, ctrl, 1, deadline);
+  expect_same(pc, sa);
+  EXPECT_EQ(sa.cycles, deadline);
+  for (std::uint32_t ch = 0; ch < sa.visits.size(); ++ch) {
+    EXPECT_EQ(pc.visits[ch], deadline);
+    EXPECT_LT(sa.visits[ch], deadline - 50) << "channel " << ch;
+  }
 }
 
 }  // namespace
