@@ -88,6 +88,42 @@ void BM_FullSystemCyclesPerSecond(benchmark::State& state) {
 }
 BENCHMARK(BM_FullSystemCyclesPerSecond);
 
+// The System loop where components' event sets diverge: the perfbench
+// `hierarchy` shape. Two random cores over L2-resident footprints compute 4
+// instructions per access; two streaming cores compute 40 and stream far
+// past the L2 behind a stride prefetcher. Warmed 1M cycles before timing,
+// so caches are full and memory runs far below saturation.
+void BM_FullSystemMixed(benchmark::State& state) {
+  sim::SystemConfig cfg;
+  cfg.num_cores = 4;
+  cfg.ctrl.num_cores = 4;
+  cfg.core.instr_limit = 0;  // unbounded; we run fixed cycles
+  cfg.prefetch = sim::PrefetchKind::Stride;
+  std::vector<std::unique_ptr<workloads::AccessStream>> streams;
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    workloads::StreamParams p;
+    p.base = static_cast<Addr>(i) << 30;
+    p.seed = i + 1;
+    if (i < 2) {
+      p.footprint = 640ull << 10;
+      p.compute_per_access = 4;
+      streams.push_back(workloads::make_random(p));
+    } else {
+      p.footprint = 256ull << 20;
+      p.compute_per_access = 40;
+      streams.push_back(workloads::make_streaming(p));
+    }
+  }
+  sim::System sys(cfg, std::move(streams));
+  Cycle target = sys.run(1'000'000);
+  for (auto _ : state) {
+    target += 10'000;
+    sys.run(target);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 10'000);
+}
+BENCHMARK(BM_FullSystemMixed);
+
 // The case the event kernel exists for: a low-MPKI core computing for
 // thousands of cycles between misses. PerCycle ticks every one of those
 // idle cycles; SkipAhead jumps between misses/refreshes, and the two are

@@ -40,7 +40,7 @@ void SimpleCore::runahead_step(Cycle now) {
   ++runahead_pos_;
   if (e.type != AccessType::Read) return;
   workloads::TraceEntry pf = e;
-  const auto res = port_.issue(id_, pf, now, [](Cycle) {}, /*speculative=*/true);
+  const auto res = port_.issue(id_, pf, now, /*speculative=*/true);
   if (res.has_value()) {
     ++runahead_issued_;
     ++stats_.runahead_prefetches;
@@ -71,25 +71,26 @@ void SimpleCore::tick(Cycle now) {
     runahead_pos_ = 0;  // re-walk the lookahead architecturally
   }
 
-  // Retire compute instructions at pipeline width per elapsed cycle.
+  // Retire compute instructions at pipeline width per elapsed cycle. When
+  // the compute ran out before `now`, the per-cycle reference issues the
+  // access at the cycle after it ran out — which is `now`, since
+  // next_event() reports that cycle and no later one — so fall through and
+  // issue in this same tick.
   if (compute_left_ > 0) {
+    const std::uint64_t need = (compute_left_ + cfg_.width - 1) / cfg_.width;
     const std::uint32_t n = static_cast<std::uint32_t>(std::min<std::uint64_t>(
         compute_left_, static_cast<std::uint64_t>(cfg_.width) * elapsed));
     compute_left_ -= n;
     stats_.instructions += n;
     stats_.finish_cycle = now;
-    return;
+    if (need >= elapsed || done()) return;
   }
 
   if (!access_pending_) return;
 
   const auto& access = current_;
   async_done_ = false;
-  auto result = port_.issue(id_, access, now, [this](Cycle done_cycle) {
-    // Asynchronous completion: wake at the data-return cycle.
-    ready_at_ = done_cycle;
-    async_done_ = true;
-  });
+  auto result = port_.issue(id_, access, now);
 
   if (!result.has_value()) {
     ++stats_.stall_cycles;  // queue full; retry next cycle
@@ -104,10 +105,10 @@ void SimpleCore::tick(Cycle now) {
 
   if (access.type == AccessType::Read) {
     if (*result == kCycleNever) {
-      // Asynchronous miss: block until the completion callback fires.
+      // Asynchronous miss: block until the port calls wake().
       waiting_ = true;
       if (!async_done_) ready_at_ = kCycleNever;
-      // If the callback already ran, ready_at_ holds the real wakeup cycle.
+      // If wake() already ran, ready_at_ holds the real wakeup cycle.
     } else if (*result > now + 1) {
       waiting_ = true;
       ready_at_ = *result;
@@ -120,24 +121,29 @@ void SimpleCore::tick(Cycle now) {
 
 Cycle SimpleCore::next_event(Cycle now) const {
   if (done()) return kCycleNever;
+  // First cycle of the remaining compute: the wake-up cycle while blocked,
+  // else the cycle after this tick.
+  Cycle start = now + 1;
   if (waiting_) {
     // Runahead issues one speculative access per stall cycle until the
     // depth budget is spent: no skipping while it is active.
     if (cfg_.runahead && runahead_issued_ < cfg_.runahead_depth) return now + 1;
-    return ready_at_;  // kCycleNever while an async miss is outstanding:
-                       // the controller's retire event drives the wake-up
+    // kCycleNever while an async miss is outstanding: the wake-up pokes
+    // the core (System::run) and its next event is recomputed then.
+    if (ready_at_ == kCycleNever) return kCycleNever;
+    start = ready_at_;
   }
-  if (compute_left_ > 0) {
-    // The next cycles retire cfg_.width instructions each; the interesting
-    // boundaries are compute exhaustion and the instruction-limit crossing.
-    Cycle steps = (compute_left_ + cfg_.width - 1) / cfg_.width;
-    if (cfg_.instr_limit != 0) {
-      const std::uint64_t left = cfg_.instr_limit - stats_.instructions;
-      steps = std::min<Cycle>(steps, (left + cfg_.width - 1) / cfg_.width);
-    }
-    return now + steps;
+  // The access issues (or retries) the cycle after the compute runs out;
+  // the cycles in between only retire cfg_.width instructions each, which
+  // the issuing tick accounts for. The one other boundary is the
+  // instruction-limit crossing, where done() must turn true.
+  const std::uint64_t steps = (compute_left_ + cfg_.width - 1) / cfg_.width;
+  if (cfg_.instr_limit != 0) {
+    const std::uint64_t left = cfg_.instr_limit - stats_.instructions;
+    const std::uint64_t limit_steps = (left + cfg_.width - 1) / cfg_.width;
+    if (limit_steps <= steps) return start + limit_steps - 1;
   }
-  return now + 1;  // issue or retry next cycle
+  return start + steps;
 }
 
 void SimpleCore::dump(std::ostream& os, Cycle now) const {

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <optional>
@@ -27,18 +26,18 @@ namespace ima::core {
 
 /// The memory hierarchy's interface to the core. `issue` starts an access;
 /// the hierarchy must either return a ready cycle (synchronous hit) or
-/// kCycleNever, in which case it later calls the completion function.
+/// kCycleNever, in which case it later wakes the core via SimpleCore::wake.
 class MemoryPort {
  public:
   virtual ~MemoryPort() = default;
 
   /// Returns the cycle at which the access completes, or kCycleNever for an
-  /// asynchronous miss (completion delivered via `done`), or std::nullopt
-  /// meaning "retry next cycle" (queue full). `speculative` marks runahead
-  /// prefetches: they warm the hierarchy but nobody waits for them.
+  /// asynchronous miss (completion delivered via SimpleCore::wake), or
+  /// std::nullopt meaning "retry next cycle" (queue full). `speculative`
+  /// marks runahead prefetches: they warm the hierarchy but nobody waits
+  /// for them.
   virtual std::optional<Cycle> issue(std::uint32_t core, const workloads::TraceEntry& access,
-                                     Cycle now, std::function<void(Cycle)> done,
-                                     bool speculative = false) = 0;
+                                     Cycle now, bool speculative = false) = 0;
 };
 
 struct CoreConfig {
@@ -64,12 +63,22 @@ class SimpleCore {
   void tick(Cycle now);
 
   /// Earliest future cycle at which this core does something
-  /// (common/clock.hh contract): wake-up from a blocking load, the cycle
-  /// compute retirement exhausts the current entry or crosses the
-  /// instruction limit, or now + 1 while issuing/retrying/runahead is
-  /// active. kCycleNever while blocked on an asynchronous miss (the memory
-  /// system's retire event drives the wake-up) or when done.
+  /// (common/clock.hh contract): the cycle it issues its next access (or
+  /// retries it) — the cycle after the compute in front of it runs out,
+  /// counted from the wake-up while blocked on a load — or the cycle
+  /// compute retirement crosses the instruction limit, whichever is first;
+  /// now + 1 while runahead is active. The retire-only cycles in between
+  /// are not events: the next tick accounts for them. kCycleNever while
+  /// blocked on an asynchronous miss (the wake-up pokes the core) or when
+  /// done.
   Cycle next_event(Cycle now) const;
+
+  /// Asynchronous completion of the blocking load: the core wakes at
+  /// `ready` (the data-return cycle). Called by the MemoryPort.
+  void wake(Cycle ready) {
+    ready_at_ = ready;
+    async_done_ = true;
+  }
 
   bool done() const {
     return cfg_.instr_limit != 0 && stats_.instructions >= cfg_.instr_limit;
@@ -95,8 +104,8 @@ class SimpleCore {
 
   /// Checkpoint pipeline state, runahead lookahead buffer, retire counters
   /// and the access stream. Requires no outstanding asynchronous access
-  /// (the memory system must be idle): the completion closure handed to the
-  /// port is not serializable.
+  /// (the memory system must be idle): the port's pending completion is not
+  /// serializable.
   void save_state(ckpt::Sink& s) const;
   void load_state(ckpt::Source& s);
 

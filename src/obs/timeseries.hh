@@ -12,7 +12,9 @@
 // callback, before any state mutation. Boundaries crossed inside a
 // SkipAhead jump are emitted with the values in force across the jump —
 // which equal the values a PerCycle run reads at each boundary, because
-// skipped cycles are provably state-neutral (common/clock.hh). Sample
+// skipped cycles are provably state-neutral (common/clock.hh) once the
+// driver has brought delta-accounted counters up to date: System::run
+// ticks every component at the cycle before each boundary. Sample
 // streams are therefore byte-identical across clock modes and, since the
 // data rides through ReportFragment in submission order, across IMA_JOBS
 // widths.

@@ -58,6 +58,10 @@ System::System(const SystemConfig& cfg,
 
   for (std::uint32_t i = 0; i < cfg.num_cores; ++i)
     cores_.push_back(std::make_unique<core::SimpleCore>(i, std::move(streams[i]), *this, cfg.core));
+  chan_due_.assign(mem_->num_channels(), 0);
+  chan_visits_.assign(mem_->num_channels(), 0);
+  core_due_.assign(cfg.num_cores, 0);
+  core_visits_.assign(cfg.num_cores, 0);
 }
 
 System::~System() = default;
@@ -91,13 +95,20 @@ void System::register_stats(obs::StatRegistry& reg, const std::string& prefix) c
   mem_->register_stats(reg, obs::join_path(prefix, "mem"));
 }
 
+bool System::enqueue_mem(const mem::Request& req, mem::CompletionCallback cb) {
+  if (!mem_->enqueue(req, std::move(cb))) return false;
+  Cycle& due = chan_due_[mem_->mapper().decode(req.addr).channel];
+  due = std::min(due, now_);
+  return true;
+}
+
 void System::enqueue_mem_write(Addr addr) {
   mem::Request wr;
   wr.addr = addr;
   wr.type = AccessType::Write;
   wr.core = 0;  // writebacks are not attributed to a core
   wr.arrive = now_;
-  if (!mem_->can_accept(addr, AccessType::Write) || !mem_->enqueue(wr)) {
+  if (!mem_->can_accept(addr, AccessType::Write) || !enqueue_mem(wr)) {
     pending_writes_.push_back(addr);
   }
 }
@@ -109,7 +120,7 @@ void System::flush_pending_writes() {
     wr.addr = a;
     wr.type = AccessType::Write;
     wr.arrive = now_;
-    if (!mem_->can_accept(a, AccessType::Write) || !mem_->enqueue(wr)) return;
+    if (!mem_->can_accept(a, AccessType::Write) || !enqueue_mem(wr)) return;
     pending_writes_.pop_front();
   }
 }
@@ -142,9 +153,9 @@ void System::handle_l1_victim(std::uint32_t /*core*/, const cache::Cache::FillRe
 }
 
 void System::issue_prefetches(Addr addr, std::uint64_t pc, bool was_miss) {
-  std::vector<cache::PrefetchRequest> candidates;
-  prefetcher_->observe(addr, pc, was_miss, candidates);
-  for (const auto& c : candidates) {
+  pf_candidates_.clear();
+  prefetcher_->observe(addr, pc, was_miss, pf_candidates_);
+  for (const auto& c : pf_candidates_) {
     const Addr line = line_base(c.addr);
     if (l2_->contains(line)) continue;
     if (!mem_->can_accept(line, AccessType::Read)) continue;
@@ -153,8 +164,10 @@ void System::issue_prefetches(Addr addr, std::uint64_t pc, bool was_miss) {
     pf.type = AccessType::Read;
     pf.is_prefetch = true;
     pf.arrive = now_;
+    // Two-word closure (the line is the request's address): no allocation.
     const std::uint64_t cpc = c.pc;
-    const bool ok = mem_->enqueue(pf, [this, line, cpc](const mem::Request&) {
+    const bool ok = enqueue_mem(pf, [this, cpc](const mem::Request& r) {
+      const Addr line = r.addr;
       const auto fr = l2_->fill(line, /*dirty=*/false);
       prefetched_.insert(line);
       prefetch_pc_[line] = cpc;
@@ -172,8 +185,7 @@ void System::issue_prefetches(Addr addr, std::uint64_t pc, bool was_miss) {
 }
 
 std::optional<Cycle> System::issue(std::uint32_t core, const workloads::TraceEntry& access,
-                                   Cycle now, std::function<void(Cycle)> done,
-                                   bool speculative) {
+                                   Cycle now, bool speculative) {
   const Addr line = line_base(access.addr);
   cache::Cache& l1 = *l1s_[core];
 
@@ -187,7 +199,7 @@ std::optional<Cycle> System::issue(std::uint32_t core, const workloads::TraceEnt
     pf.core = core;
     pf.is_prefetch = true;
     pf.arrive = now;
-    const bool ok = mem_->enqueue(pf, [this, line](const mem::Request&) {
+    const bool ok = enqueue_mem(pf, [this, line](const mem::Request&) {
       const auto fr = l2_->fill(line, /*dirty=*/false);
       if (fr.evicted && fr.evicted_dirty) enqueue_mem_write(*fr.evicted);
     });
@@ -228,15 +240,17 @@ std::optional<Cycle> System::issue(std::uint32_t core, const workloads::TraceEnt
   // Demand read first: it must claim the queue slot reserved by the
   // can_accept check above before prefetches can consume the remaining
   // capacity (a dropped demand enqueue would lose the wake-up callback and
-  // wedge the core forever).
+  // wedge the core forever). The two-word closure fits std::function's
+  // local buffer: no allocation per miss.
   mem::Request rd;
   rd.addr = line;
   rd.type = AccessType::Read;
   rd.core = core;
   rd.arrive = now;
-  const Cycle l2lat = cfg_.l2.hit_latency;
-  const bool ok = mem_->enqueue(rd, [done = std::move(done), l2lat](const mem::Request& r) {
-    done(r.complete + l2lat);
+  const bool ok = enqueue_mem(rd, [this, core](const mem::Request& r) {
+    cores_[core]->wake(r.complete + cfg_.l2.hit_latency);
+    // Poke: the woken core's cursor (kCycleNever while blocked) is stale.
+    core_due_[core] = std::min(core_due_[core], now_);
   });
   assert(ok && "can_accept was checked above");
   (void)ok;
@@ -284,35 +298,79 @@ Cycle System::run(Cycle max_cycles) {
       if (const std::uint64_t n = std::strtoull(env, nullptr, 10); n > 0) arm_watchdog(n);
     }
   }
-  Cycle last_ticked = kCycleNever;
-  const auto tick = [this, &last_ticked](Cycle now) {
+  // Per-component due cursors (DESIGN.md "Clocking model"): each channel
+  // and each core is ticked only at its own events, not at the union of
+  // everyone's. Exact because a tick at a non-event cycle is a no-op (the
+  // per-cycle == skip-ahead invariant) and every outside change to a
+  // component pokes it: an enqueue pokes its channel, a demand-read
+  // completion the core it wakes. A poke lowers the cursor to now_, so a
+  // component whose turn in this tick is still to come is ticked, and next
+  // recomputes the cursor of every component ticked or poked at `now`.
+  // The first tick ticks everything (a resumed run re-ticks the previous
+  // run's end cycle, as the per-cycle reference does). PerCycle never
+  // calls next, so every cursor stays at or below `now`.
+  const std::uint32_t nch = mem_->num_channels();
+  const auto ncores = static_cast<std::uint32_t>(cores_.size());
+  std::fill(chan_due_.begin(), chan_due_.end(), now_);
+  std::fill(core_due_.begin(), core_due_.end(), now_);
+  // Forced all-component ticks bring the delta-accounted core stall and
+  // retire counts up to date where someone reads them: at the window's
+  // last cycle (the per-cycle reference's final tick) and, while a time
+  // series is attached, at the cycle before each of its boundaries.
+  // first_forced(c) is the first forced cycle at or after c.
+  const Cycle last = max_cycles - 1;
+  const Cycle period = timeseries_ ? timeseries_->data().period : 0;
+  const auto first_forced = [last, period](Cycle c) {
+    return period == 0 ? last : std::min(last, c / period * period + period - 1);
+  };
+  const auto tick = [&](Cycle now) {
     // Sample *before* any state mutation: skipped cycles are state-neutral,
     // so pre-tick sampling sees the same values in every clock mode.
     if (timeseries_) timeseries_->advance(now);
     now_ = now;
-    last_ticked = now;
-    mem_->tick(now);
+    if (first_forced(now) == now) {
+      std::fill(chan_due_.begin(), chan_due_.end(), now);
+      std::fill(core_due_.begin(), core_due_.end(), now);
+    }
+    for (std::uint32_t ch = 0; ch < nch; ++ch) {
+      if (chan_due_[ch] > now) continue;
+      ++chan_visits_[ch];
+      mem_->controller(ch).tick(now);
+    }
     // Writeback retries only happen on cycles where any are pending — the
     // event kernel never wakes just for an empty deque.
     if (!pending_writes_.empty()) flush_pending_writes();
-    for (auto& c : cores_) c->tick(now);
+    for (std::uint32_t i = 0; i < ncores; ++i) {
+      if (core_due_[i] > now) continue;
+      ++core_visits_[i];
+      cores_[i]->tick(now);
+    }
   };
   const auto done = [this] {
     for (const auto& c : cores_)
       if (!c->done()) return false;
     return true;
   };
-  const auto next = [this](Cycle now) { return next_event(now); };
+  const auto next = [&](Cycle now) {
+    // At most the next forced cycle (<= now once `last` is reached, which
+    // ends the loop at the limit).
+    Cycle nxt = pending_writes_.empty() ? first_forced(now + 1) : now + 1;
+    for (std::uint32_t ch = 0; ch < nch; ++ch) {
+      Cycle& due = chan_due_[ch];
+      if (due <= now) due = std::max(mem_->controller(ch).next_event(now), now + 1);
+      nxt = std::min(nxt, due);
+    }
+    for (std::uint32_t i = 0; i < ncores; ++i) {
+      Cycle& due = core_due_[i];
+      if (due <= now) due = std::max(cores_[i]->next_event(now), now + 1);
+      nxt = std::min(nxt, due);
+    }
+    return nxt;
+  };
   const Cycle end =
       watchdog_ ? sim::run_event_loop(cfg_.clock, now_, max_cycles, tick, done, next,
                                       [this](Cycle now) { watchdog_->iterate(now); })
                 : sim::run_event_loop(cfg_.clock, now_, max_cycles, tick, done, next);
-  // Truncated at the limit with the next event beyond it: the per-cycle
-  // reference's final tick lands on max_cycles-1, so replay it here to
-  // bring time-accumulating stats (core stall/retire counts) up to the
-  // cut-off. Eventless by construction, hence cycle-exact.
-  if (end == max_cycles && last_ticked != kCycleNever && last_ticked + 1 < max_cycles)
-    tick(max_cycles - 1);
   now_ = end;
   // Boundaries between the last tick and the end cycle see no further state
   // changes; flushing them here keeps the sample stream end identical

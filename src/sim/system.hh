@@ -66,13 +66,23 @@ class System final : public core::MemoryPort {
 
   /// Earliest future cycle at which any component has work: the memory
   /// system's next event, pending writebacks (retried every cycle), and
-  /// each core's next event.
+  /// each core's next event. Stateless: run() keeps its own per-component
+  /// cursors and does not call this.
   Cycle next_event(Cycle now) const;
 
   // MemoryPort
   std::optional<Cycle> issue(std::uint32_t core, const workloads::TraceEntry& access, Cycle now,
-                             std::function<void(Cycle)> done,
                              bool speculative = false) override;
+
+  /// run() ticks of core `i` / memory channel `ch` over this system's
+  /// lifetime: every cycle under PerCycle, only the component's own event
+  /// cycles (plus forced all-component ticks) under SkipAhead. A host-side
+  /// diagnostic, deliberately not in the StatRegistry: registry renders are
+  /// part of every digest.
+  std::uint64_t core_visits(std::uint32_t i) const { return core_visits_[i]; }
+  std::uint64_t channel_visits(std::uint32_t ch) const { return chan_visits_[ch]; }
+  /// Dirty L2 victims waiting for write-queue space (retried every cycle).
+  std::size_t pending_writebacks() const { return pending_writes_.size(); }
 
   const core::SimpleCore& core_at(std::uint32_t i) const { return *cores_[i]; }
   const cache::Cache& l1(std::uint32_t i) const { return *l1s_[i]; }
@@ -115,8 +125,9 @@ class System final : public core::MemoryPort {
   obs::TraceSink* trace() { return trace_.get(); }
 
   /// Attaches a windowed sampler (borrowed; null detaches): advanced at the
-  /// top of every tick and once more at the end of run(), so the sample
-  /// stream is identical in every clock mode (see obs/timeseries.hh).
+  /// top of every tick and once more at the end of run(), and the cycle
+  /// before each of its boundaries is a forced all-component tick, so the
+  /// sample stream is identical in every clock mode (see obs/timeseries.hh).
   void set_timeseries(obs::TimeSeries* ts) { timeseries_ = ts; }
 
   /// Arms an owned no-progress watchdog on the run() loop (and the memory
@@ -144,6 +155,9 @@ class System final : public core::MemoryPort {
   void restore(const std::string& path);
 
  private:
+  /// mem_->enqueue that pokes the target channel on admission: its next
+  /// event may now be earlier than its run() cursor.
+  [[nodiscard]] bool enqueue_mem(const mem::Request& req, mem::CompletionCallback cb = nullptr);
   void handle_l1_victim(std::uint32_t core, const cache::Cache::FillResult& fr);
   void enqueue_mem_write(Addr addr);
   void issue_prefetches(Addr addr, std::uint64_t pc, bool was_miss);
@@ -165,6 +179,14 @@ class System final : public core::MemoryPort {
   std::unordered_set<Addr> prefetched_;   // L2 lines filled by prefetch, untouched
   std::unordered_map<Addr, std::uint64_t> prefetch_pc_;  // training context
   PrefetchStats pf_stats_;
+  std::vector<cache::PrefetchRequest> pf_candidates_;  // issue_prefetches scratch
+  // run()'s due cursors (DESIGN.md "Clocking model"): a component is ticked
+  // at `now` only when its cursor is <= now. Reset to the run start; a poke
+  // lowers a cursor to now_.
+  std::vector<Cycle> chan_due_;
+  std::vector<Cycle> core_due_;
+  std::vector<std::uint64_t> chan_visits_;
+  std::vector<std::uint64_t> core_visits_;
   std::unique_ptr<obs::TraceSink> trace_;
   obs::TimeSeries* timeseries_ = nullptr;
   std::unique_ptr<obs::Watchdog> watchdog_;

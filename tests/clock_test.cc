@@ -7,6 +7,8 @@
 // shows up here as a stats diff.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <functional>
 #include <memory>
 #include <sstream>
@@ -356,27 +358,7 @@ TEST(Spans, StagesSumExactlyToEndToEnd) {
   }
 }
 
-TEST(ClockExact, TimeSeriesSamplesMatch) {
-  // The windowed sampler must produce an identical sample stream in both
-  // clock modes: same boundaries, same values, same emitted/dropped counts.
-  const auto run_ts = [](sim::ClockMode mode) {
-    sim::SystemConfig cfg;
-    cfg.num_cores = 2;
-    cfg.ctrl.num_cores = 2;
-    cfg.core.instr_limit = 4'000;
-    cfg.clock = mode;
-    sim::System sys(cfg, make_streams(2, 4));
-    obs::StatRegistry reg;
-    sys.register_stats(reg);
-    obs::TimeSeries ts("t", 1'000);
-    EXPECT_TRUE(ts.track_path(reg, "sys.mem.ctrl0.reads_done"));
-    EXPECT_TRUE(ts.track_path(reg, "sys.core0.instructions"));
-    sys.set_timeseries(&ts);
-    sys.run(5'000'000);
-    return ts.data();
-  };
-  const auto pc = run_ts(sim::ClockMode::PerCycle);
-  const auto sa = run_ts(sim::ClockMode::SkipAhead);
+void expect_same_samples(const obs::TimeSeriesData& pc, const obs::TimeSeriesData& sa) {
   EXPECT_EQ(pc.emitted, sa.emitted);
   EXPECT_EQ(pc.dropped, sa.dropped);
   ASSERT_EQ(pc.samples.size(), sa.samples.size());
@@ -384,7 +366,38 @@ TEST(ClockExact, TimeSeriesSamplesMatch) {
     EXPECT_EQ(pc.samples[i].cycle, sa.samples[i].cycle) << "sample " << i;
     EXPECT_EQ(pc.samples[i].values, sa.samples[i].values) << "sample " << i;
   }
-  EXPECT_GT(pc.samples.size(), 1u);
+}
+
+TEST(ClockExact, TimeSeriesSamplesMatch) {
+  // The windowed sampler must produce an identical sample stream in both
+  // clock modes: same boundaries, same values, same emitted/dropped counts.
+  // Compute 400 keeps the cores retiring across many boundaries without an
+  // event of their own, so the delta-accounted instruction and stall
+  // counts are only current because the cycle before each boundary is a
+  // forced tick.
+  for (const std::uint32_t compute : {4u, 400u}) {
+    SCOPED_TRACE("compute " + std::to_string(compute));
+    const auto run_ts = [compute](sim::ClockMode mode) {
+      sim::SystemConfig cfg;
+      cfg.num_cores = 2;
+      cfg.ctrl.num_cores = 2;
+      cfg.core.instr_limit = compute > 4 ? 40'000 : 4'000;
+      cfg.clock = mode;
+      sim::System sys(cfg, make_streams(2, compute));
+      obs::StatRegistry reg;
+      sys.register_stats(reg);
+      obs::TimeSeries ts("t", 1'000);
+      EXPECT_TRUE(ts.track_path(reg, "sys.mem.ctrl0.reads_done"));
+      EXPECT_TRUE(ts.track_path(reg, "sys.core0.instructions"));
+      EXPECT_TRUE(ts.track_path(reg, "sys.core1.stall_cycles"));
+      sys.set_timeseries(&ts);
+      sys.run(5'000'000);
+      return ts.data();
+    };
+    const auto pc = run_ts(sim::ClockMode::PerCycle);
+    expect_same_samples(pc, run_ts(sim::ClockMode::SkipAhead));
+    EXPECT_GT(pc.samples.size(), 10u);
+  }
 }
 
 TEST(ClockExact, MemorySystemDrain) {
@@ -455,6 +468,197 @@ TEST(ClockExact, HybridMemoryDrain) {
   EXPECT_EQ(pc.second.migration_lines, sa.second.migration_lines);
   // The config must actually have exercised the migration machinery.
   EXPECT_GT(sa.second.promotions, 0u);
+}
+
+// --- System per-component cursors -------------------------------------------
+//
+// System::run ticks each core and each channel only at its own events, so
+// the cases below make those event sets diverge: cores computing 4 to 4000
+// instructions between accesses, two channels, rank power states,
+// runahead, every prefetcher, a write queue too small for the writeback
+// stream, an armed watchdog, a split run. Each must match PerCycle in end
+// cycle, full registry snapshot and time-series samples.
+
+/// Four cores, by default computing {4, 40, 400, 4000} instructions per
+/// access, so no core's events line up with another's: an L1-resident
+/// random core, then streaming, random and streaming cores over 8 MiB each.
+std::vector<std::unique_ptr<workloads::AccessStream>> diverging_streams(
+    const std::array<std::uint32_t, 4>& computes, double write_fraction) {
+  std::vector<std::unique_ptr<workloads::AccessStream>> v;
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    workloads::StreamParams p;
+    p.base = static_cast<Addr>(i) << 28;
+    p.footprint = i == 0 ? 16ull << 10 : 8ull << 20;
+    p.compute_per_access = computes[i];
+    p.write_fraction = write_fraction;
+    p.seed = 31 + i;
+    if (i % 2 == 0) v.push_back(workloads::make_random(p));
+    else v.push_back(workloads::make_streaming(p));
+  }
+  return v;
+}
+
+struct SystemCase {
+  std::string name;
+  std::function<void(sim::SystemConfig&)> tweak = nullptr;
+  std::function<void(sim::System&)> wire = nullptr;
+  std::array<std::uint32_t, 4> computes{4, 40, 400, 4000};
+  double write_fraction = 0.2;
+  Cycle split = 0;  // > 0: run in windows of this many cycles
+};
+
+struct SystemRun {
+  Cycle end = 0;
+  obs::StatRegistry::Snapshot snap;
+  obs::TimeSeriesData ts;
+  std::vector<std::uint64_t> core_visits;
+  std::vector<std::uint64_t> chan_visits;
+  double max_pending = 0;  // peak sampled writeback backlog
+  std::vector<obs::StatRegistry::Snapshot> windows;  // after each split window
+};
+
+SystemRun run_case(sim::ClockMode mode, const SystemCase& c, bool with_ts = true) {
+  sim::SystemConfig cfg;
+  cfg.num_cores = 4;
+  cfg.ctrl.num_cores = 4;
+  cfg.core.instr_limit = 60'000;
+  cfg.ctrl.record_spans = true;
+  if (c.tweak) c.tweak(cfg);
+  cfg.clock = mode;
+  sim::System sys(cfg, diverging_streams(c.computes, c.write_fraction));
+  if (c.wire) c.wire(sys);
+  obs::StatRegistry reg;
+  sys.register_stats(reg);
+  obs::TimeSeries ts("sys", 1'000);
+  if (with_ts) {
+    for (std::uint32_t i = 0; i < cfg.num_cores; ++i) {
+      const std::string core = "sys.core" + std::to_string(i);
+      EXPECT_TRUE(ts.track_path(reg, core + ".instructions"));
+      EXPECT_TRUE(ts.track_path(reg, core + ".stall_cycles"));
+    }
+    EXPECT_TRUE(ts.track_path(reg, "sys.mem.ctrl0.reads_done"));
+    ts.add_track("pending_writebacks", obs::StatKind::Gauge,
+                 [&sys] { return static_cast<double>(sys.pending_writebacks()); });
+    sys.set_timeseries(&ts);
+  }
+  constexpr Cycle kLimit = 5'000'000;
+  SystemRun r;
+  if (c.split > 0) {
+    for (Cycle t = c.split; t <= kLimit; t += c.split) {
+      r.end = sys.run(t);
+      r.windows.push_back(reg.snapshot());
+      if (r.end < t) break;
+    }
+  } else {
+    r.end = sys.run(kLimit);
+  }
+  EXPECT_LT(r.end, kLimit) << "run did not finish";
+  r.snap = reg.snapshot();
+  r.ts = ts.data();
+  for (const auto& smp : r.ts.samples) r.max_pending = std::max(r.max_pending, smp.values.back());
+  for (std::uint32_t i = 0; i < cfg.num_cores; ++i) r.core_visits.push_back(sys.core_visits(i));
+  for (std::uint32_t ch = 0; ch < sys.memory().num_channels(); ++ch)
+    r.chan_visits.push_back(sys.channel_visits(ch));
+  return r;
+}
+
+/// PerCycle and SkipAhead (with and without the time series, whose forced
+/// boundary ticks would otherwise mask a late tick) agree; returns the
+/// SkipAhead run with the time series attached.
+SystemRun expect_case_matches(const SystemCase& c) {
+  SCOPED_TRACE(c.name);
+  const SystemRun pc = run_case(sim::ClockMode::PerCycle, c);
+  const SystemRun sa = run_case(sim::ClockMode::SkipAhead, c);
+  EXPECT_EQ(pc.end, sa.end) << "final cycle diverges between clock modes";
+  expect_identical(pc.snap, sa.snap);
+  expect_same_samples(pc.ts, sa.ts);
+  // A truncated window's stats must be current at its cut-off, not only
+  // once a later window catches the delta accounting up.
+  EXPECT_EQ(pc.windows.size(), sa.windows.size());
+  for (std::size_t w = 0; w < std::min(pc.windows.size(), sa.windows.size()); ++w) {
+    SCOPED_TRACE("window " + std::to_string(w));
+    expect_identical(pc.windows[w], sa.windows[w]);
+  }
+  const SystemRun bare = run_case(sim::ClockMode::SkipAhead, c, /*with_ts=*/false);
+  EXPECT_EQ(pc.end, bare.end);
+  expect_identical(pc.snap, bare.snap);
+  return sa;
+}
+
+TEST(ClockExact, SystemDivergingComponents) {
+  const SystemRun base = expect_case_matches({.name = "four computes"});
+  EXPECT_GT(base.snap.at("sys.core3.loads").value_or(0), 5.0);
+
+  const SystemRun two = expect_case_matches(
+      {.name = "two channels",
+       .tweak = [](sim::SystemConfig& cfg) { cfg.dram.geometry.channels = 2; }});
+  EXPECT_GT(two.snap.at("sys.mem.ctrl1.reads_done").value_or(0), 0.0);
+
+  // Slower memory-bound cores leave the idle gaps rank power states need.
+  const SystemRun power = expect_case_matches({.name = "power-down and self-refresh",
+                                               .tweak =
+                                                   [](sim::SystemConfig& cfg) {
+                                                     cfg.ctrl.powerdown_timeout = 200;
+                                                     cfg.ctrl.selfrefresh_timeout = 1'500;
+                                                   },
+                                               .computes = {4, 2'000, 4'000, 8'000}});
+  EXPECT_GT(power.snap.at("sys.mem.ctrl0.powerdowns").value_or(0), 0.0);
+  EXPECT_GT(power.snap.at("sys.mem.ctrl0.selfrefreshes").value_or(0), 0.0);
+
+  const SystemRun ra = expect_case_matches(
+      {.name = "runahead", .tweak = [](sim::SystemConfig& cfg) { cfg.core.runahead = true; }});
+  EXPECT_GT(ra.snap.at("sys.core2.runahead_prefetches").value_or(0), 0.0);
+
+  for (const auto kind : {sim::PrefetchKind::None, sim::PrefetchKind::NextLine,
+                          sim::PrefetchKind::Stride, sim::PrefetchKind::Ghb,
+                          sim::PrefetchKind::FilteredStride, sim::PrefetchKind::Feedback}) {
+    const SystemRun pf = expect_case_matches(
+        {.name = std::string("prefetch ") + sim::to_string(kind),
+         .tweak = [kind](sim::SystemConfig& cfg) { cfg.prefetch = kind; }});
+    if (kind != sim::PrefetchKind::None) {
+      EXPECT_GT(pf.snap.at("sys.prefetch.issued").value_or(0), 0.0) << sim::to_string(kind);
+    }
+  }
+
+  // Small caches full of dirty lines and a four-entry write queue: L2
+  // victims back up in pending_writes_, which System retries every cycle.
+  const SystemRun writes = expect_case_matches(
+      {.name = "write-heavy",
+       .tweak =
+           [](sim::SystemConfig& cfg) {
+             cfg.l1.size_bytes = 4 * 1024;
+             cfg.l2.size_bytes = 32 * 1024;
+             cfg.ctrl.write_queue_size = 4;
+             cfg.ctrl.write_drain_high = 3;
+             cfg.ctrl.write_drain_low = 1;
+           },
+       .write_fraction = 0.9});
+  EXPECT_GT(writes.max_pending, 0.0);
+
+  expect_case_matches({.name = "watchdog armed",
+                       .wire = [](sim::System& sys) { sys.arm_watchdog(1'000'000); }});
+
+  // Windows that are not multiples of the sampling period: every window
+  // ends in a forced tick and the next starts with an all-component tick.
+  const SystemRun split = expect_case_matches({.name = "split run", .split = 7'777});
+  EXPECT_GT(split.windows.size(), 5u);
+}
+
+TEST(SystemVisits, LongComputeCoreSkipsOtherComponentsEvents) {
+  // A core computing 4000 instructions per access has a handful of events
+  // per access; the L1-resident core next to it has one every few cycles.
+  // Union ticking would visit both at every event of either.
+  const SystemCase c{.name = "four computes"};
+  const SystemRun pc = run_case(sim::ClockMode::PerCycle, c, /*with_ts=*/false);
+  const SystemRun sa = run_case(sim::ClockMode::SkipAhead, c, /*with_ts=*/false);
+  for (std::uint32_t i = 0; i < 4; ++i) EXPECT_EQ(pc.core_visits[i], pc.end + 1) << "core " << i;
+  EXPECT_EQ(pc.chan_visits[0], pc.end + 1);
+  const std::uint64_t loads3 =
+      static_cast<std::uint64_t>(sa.snap.at("sys.core3.loads").value_or(0));
+  EXPECT_LT(sa.core_visits[3], 8 * (loads3 + 1));
+  EXPECT_LT(sa.core_visits[3] * 100, sa.core_visits[0]);
+  EXPECT_LT(sa.chan_visits[0] * 2, sa.core_visits[0]);
+  EXPECT_LT(sa.chan_visits[0] * 4, pc.chan_visits[0]);
 }
 
 // --- sharded drains ----------------------------------------------------------
