@@ -160,6 +160,7 @@ bool Controller::enqueue(Request req, CompletionCallback cb) {
   if (req.core < oc.core_live.size()) ++oc.core_live[req.core];
   // This queue's stashed min does not cover the new request.
   issue_min_valid_[is_read ? 0 : 1] = false;
+  sched_->on_enqueue(q.back());
   return true;
 }
 

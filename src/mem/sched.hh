@@ -82,9 +82,9 @@ struct UnitSlot {
 
 /// The active queue's occupied units and their slots (see DESIGN.md
 /// "Unit-table pick"). Offered only while the controller's kernel stash is
-/// valid; first-ready pickers and RL then fold over units and walk the
-/// chains of units with a legal command instead of classifying every
-/// queue entry.
+/// valid; the first-ready and ranked pickers and RL then fold over units
+/// and walk the chains of units with a legal command instead of
+/// classifying every queue entry.
 /// `core_live[c]` counts the queue's live entries from core `c` for every
 /// core the controller accounts (`cores` of them).
 struct UnitTable {
@@ -297,6 +297,12 @@ class Scheduler {
   /// Called when a request's data burst is issued (service granted).
   virtual void on_service(const QueuedRequest&, const SchedView&) {}
 
+  /// Called when the controller admits a request into a queue (reads into
+  /// the read queue, writes into the write queue), after it is appended.
+  /// A policy whose next_event depends on queue occupancy counts arrivals
+  /// here: an enqueue can happen between two of the controller's ticks.
+  virtual void on_enqueue(const QueuedRequest&) {}
+
   /// Periodic housekeeping (quantum boundaries etc.); called every cycle.
   virtual void tick(const SchedView&, std::vector<QueuedRequest>&) {}
 
@@ -434,6 +440,54 @@ FirstReady first_ready_by_unit(const std::vector<QueuedRequest>& q, const SchedV
     }
   }
   return r;
+}
+
+/// The ranked policies' pick off a SchedView's unit table: the live request
+/// whose required command is legal now that minimises (key(r, hit), !hit,
+/// age), where `hit` says the request is a legal row hit and age is the
+/// index on an arrive-sorted queue, else (arrive, index) — the ranked
+/// scans' strict comparison with its lowest-index tie-break. kNoPick when
+/// no queued command is legal. Like first_ready_by_unit it skips units
+/// with no legal class, but it walks each remaining chain to its end: the
+/// key varies per request, so a unit's first candidate does not stand for
+/// the rest.
+template <typename Key>
+std::size_t ranked_by_unit(const std::vector<QueuedRequest>& q, const SchedView& v,
+                           Key&& key) {
+  const UnitTable& t = *v.units;
+  const QueueScanMeta* meta = v.meta;
+  const bool sorted = v.arrive_sorted;
+  std::size_t best = kNoPick;
+  std::uint64_t b_key = ~std::uint64_t{0};
+  bool b_hit = false;
+  for (std::size_t k = 0; k < t.count; ++k) {
+    const std::uint32_t u = t.units[k];
+    const bool hit_ok = t.slots[u].hit_at <= v.now;
+    const bool ready_ok = t.slots[u].ready_at <= v.now;
+    if (!hit_ok && !ready_ok) continue;
+    const bool open = v.chan->unit_open(u);
+    const std::uint32_t row = v.chan->unit_row(u);
+    for (std::uint32_t i = t.slots[u].head; i != QueueScanMeta::kChainEnd; i = meta[i].next) {
+      const QueueScanMeta& m = meta[i];
+      // Scored without branching on the entry: these tests are data
+      // dependent, and a mispredict costs more than scoring a tombstone or
+      // an illegal entry that then cannot win.
+      const bool hit = open & (m.row == row);
+      const bool legal = ((m.flags & QueueScanMeta::kLive) != 0) & (hit ? hit_ok : ready_ok);
+      const std::uint64_t kv = key(q[i], hit);
+      bool older = i < best;
+      if (!sorted && best != kNoPick) {
+        const Cycle a = q[i].req.arrive, b = q[best].req.arrive;
+        older = a < b || (a == b && i < best);
+      }
+      const bool better =
+          legal & ((kv < b_key) | ((kv == b_key) & ((hit & !b_hit) | ((hit == b_hit) & older))));
+      best = better ? i : best;
+      b_key = better ? kv : b_key;
+      b_hit = better ? hit : b_hit;
+    }
+  }
+  return best;
 }
 
 /// Oldest live request by arrival among those satisfying `pred`; kNoPick if

@@ -205,6 +205,14 @@ class BlissScheduler final : public Scheduler {
         clear_interval_(clear_interval) {}
 
   std::size_t pick(const std::vector<QueuedRequest>& q, const SchedView& v) override {
+    // Unit table: whitelisted before blacklisted, then hit, then age — the
+    // same order as the class cascade below.
+    if (v.units) {
+      const std::size_t i = ranked_by_unit(q, v, [this](const QueuedRequest& r, bool) {
+        return std::uint64_t{!blacklist_ok(r, /*allow=*/false)};
+      });
+      if (i != kNoPick) return i;
+    }
     // Fused form of the original five passes: whitelisted-hit >
     // whitelisted-ready > any-hit > any-ready > oldest-live. Each class is
     // a subset of a later one, so one scan tracking five argmins picks the

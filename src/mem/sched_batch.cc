@@ -3,7 +3,6 @@
 // most sophisticated human-designed policies the paper contrasts with
 // data-driven controllers.
 #include <algorithm>
-#include <map>
 #include <numeric>
 
 #include "common/ckpt.hh"
@@ -22,48 +21,30 @@ class ParBsScheduler final : public Scheduler {
  public:
   explicit ParBsScheduler(std::uint32_t num_cores) : num_cores_(num_cores) {}
 
-  void tick(const SchedView&, std::vector<QueuedRequest>& q) override {
-    bool any_marked = false, any_live = false;
-    for (const auto& r : q) {
-      if (!r.live) continue;
-      any_live = true;
-      if (r.marked) { any_marked = true; break; }
-    }
-    if (any_marked || !any_live) return;
+  void on_enqueue(const QueuedRequest& r) override { ++live_[queue_of(r)]; }
 
-    // Form a new batch: mark the kMarkCap oldest requests per (core, bank).
-    std::map<std::pair<std::uint32_t, std::uint64_t>, std::uint32_t> marked_count;
-    std::vector<std::size_t> order;
-    order.reserve(q.size());
-    for (std::size_t i = 0; i < q.size(); ++i)
-      if (q[i].live) order.push_back(i);
-    std::sort(order.begin(), order.end(),
-              [&](std::size_t a, std::size_t b) { return q[a].req.arrive < q[b].req.arrive; });
-    for (std::size_t i : order) {
-      const auto key = std::make_pair(q[i].req.core, bank_key(q[i].coord));
-      if (marked_count[key] < kMarkCap) {
-        q[i].marked = true;
-        ++marked_count[key];
-      }
-    }
+  void on_service(const QueuedRequest& r, const SchedView&) override {
+    const std::size_t qi = queue_of(r);
+    if (live_[qi] > 0) --live_[qi];
+    if (r.marked && marked_[qi] > 0) --marked_[qi];
+  }
 
-    // Rank cores: lowest maximum per-bank marked load first (shortest job).
-    std::map<std::uint32_t, std::uint32_t> max_bank_load;
-    for (const auto& [key, count] : marked_count)
-      max_bank_load[key.first] = std::max(max_bank_load[key.first], count);
-    core_rank_.assign(num_cores_, 0);
-    std::vector<std::uint32_t> cores;
-    for (std::uint32_t c = 0; c < num_cores_; ++c) cores.push_back(c);
-    std::sort(cores.begin(), cores.end(), [&](std::uint32_t a, std::uint32_t b) {
-      const auto la = max_bank_load.count(a) ? max_bank_load[a] : 0;
-      const auto lb = max_bank_load.count(b) ? max_bank_load[b] : 0;
-      return la < lb;
-    });
-    for (std::uint32_t rank = 0; rank < cores.size(); ++rank) core_rank_[cores[rank]] = rank;
+  void tick(const SchedView& v, std::vector<QueuedRequest>& q) override {
+    // A queue holds one direction, so its front (live or tombstone) names it.
+    if (q.empty()) return;
+    const std::size_t qi = queue_of(q.front());
+    if (marked_[qi] == 0) form_batch(v, q, qi);  // the last batch has drained
   }
 
   std::size_t pick(const std::vector<QueuedRequest>& q, const SchedView& v) override {
     // Priority: marked > row-hit > core rank > age; only issuable requests.
+    if (v.units) {
+      const std::size_t i = ranked_by_unit(q, v, [this](const QueuedRequest& r, bool hit) {
+        return (std::uint64_t{!r.marked} << 33) | (std::uint64_t{!hit} << 32) |
+               rank_of(r.req.core);
+      });
+      if (i != kNoPick) return i;
+    }
     // The best element's key lives in locals so each candidate is scored
     // once (the old comparator re-derived row_hit/rank for both sides on
     // every element — measurably hot under saturated queues).
@@ -95,11 +76,18 @@ class ParBsScheduler final : public Scheduler {
     return best != kNoPick ? best : any;
   }
 
-  // Batch formation is arrival-time-sensitive: it fires on the first tick
-  // after the previous batch drains, and requests that arrive during a
-  // skipped gap would otherwise be marked into a batch that the per-cycle
-  // reference formed without them. Stay on the per-cycle cadence.
-  Cycle next_event(Cycle now) const override { return now + 1; }
+  // Batch formation is the only clocked state: it fires on the first tick
+  // of a queue that has live entries and no marked one. While such a
+  // formation is pending, tick every cycle, so the batch forms on the
+  // cycle the per-cycle reference forms it, over the same requests;
+  // otherwise picks depend only on marks, ranks and queue/bank state,
+  // which cannot change across a gap where no command can issue
+  // (DESIGN.md "PAR-BS batch formation").
+  Cycle next_event(Cycle now) const override {
+    for (std::size_t qi = 0; qi < 2; ++qi)
+      if (live_[qi] > 0 && marked_[qi] == 0) return now + 1;
+    return kCycleNever;
+  }
 
   // Batch formation happens in tick; pick only reads marks and ranks.
   bool pick_is_pure() const override { return true; }
@@ -107,21 +95,97 @@ class ParBsScheduler final : public Scheduler {
   std::string name() const override { return "PAR-BS"; }
 
   // Batch membership (the `marked` bits) lives on the queue entries and is
-  // gone at the quiescent checkpoint point; only the core ranking persists.
+  // gone at the quiescent checkpoint point, as are the live and marked
+  // counts; only the core ranking persists.
   void save_state(ckpt::Sink& s) const override { ckpt::put_vec_u32(s, core_rank_); }
   void load_state(ckpt::Source& s) override { ckpt::get_vec_u32(s, core_rank_); }
 
  private:
   static constexpr std::uint32_t kMarkCap = 5;
-  static std::uint64_t bank_key(const dram::Coord& c) {
-    return (static_cast<std::uint64_t>(c.rank) << 8) | c.bank;
+  static std::size_t queue_of(const QueuedRequest& r) {
+    return r.req.type == AccessType::Read ? 0 : 1;
   }
   std::uint32_t rank_of(std::uint32_t core) const {
     return core < core_rank_.size() ? core_rank_[core] : num_cores_;
   }
+  // Row of `core` in the flat (core, bank) count table: cores the policy
+  // ranks map to themselves, any other id to a row after them.
+  std::uint32_t core_slot(std::uint32_t core) {
+    if (core < num_cores_) return core;
+    const auto it = std::find(other_cores_.begin(), other_cores_.end(), core);
+    if (it != other_cores_.end())
+      return num_cores_ + static_cast<std::uint32_t>(it - other_cores_.begin());
+    other_cores_.push_back(core);
+    return num_cores_ + static_cast<std::uint32_t>(other_cores_.size() - 1);
+  }
+
+  // Mark the kMarkCap oldest live requests per (core, bank), then rank
+  // cores by their largest per-bank marked load (shortest job first).
+  void form_batch(const SchedView& v, std::vector<QueuedRequest>& q, std::size_t qi) {
+    const auto& g = v.chan->config().geometry;
+    const std::size_t banks = std::size_t{g.ranks} * g.banks;
+    order_.clear();
+    for (std::size_t i = 0; i < q.size(); ++i) {
+      if (!v.live(i, q)) continue;
+      const QueuedRequest& r = q[i];
+      const std::uint32_t slot = core_slot(r.req.core);
+      if ((slot + 1) * banks > mark_count_.size()) mark_count_.resize((slot + 1) * banks, 0);
+      if (slot >= max_load_.size()) max_load_.resize(slot + 1, 0);
+      // A bank, not a SALP unit: rank * banks + bank.
+      order_.push_back(
+          Member{r.req.arrive, i, slot * banks + r.coord.rank * g.banks + r.coord.bank, slot});
+    }
+    if (order_.empty()) return;
+    // Oldest first. Sorting (arrive, index) records makes the same
+    // comparisons and moves as sorting bare indices by arrive, so equal
+    // arrivals land where they always did.
+    std::sort(order_.begin(), order_.end(),
+              [](const Member& a, const Member& b) { return a.arrive < b.arrive; });
+    std::uint32_t marked = 0;
+    for (const Member& e : order_) {
+      std::uint32_t& n = mark_count_[e.cell];
+      if (n < kMarkCap) {
+        q[e.index].marked = true;
+        ++marked;
+        max_load_[e.slot] = std::max(max_load_[e.slot], ++n);
+      }
+    }
+    marked_[qi] = marked;
+
+    const auto load = [&](std::uint32_t c) { return c < max_load_.size() ? max_load_[c] : 0u; };
+    core_rank_.assign(num_cores_, 0);
+    cores_.resize(num_cores_);
+    std::iota(cores_.begin(), cores_.end(), 0u);
+    std::sort(cores_.begin(), cores_.end(),
+              [&](std::uint32_t a, std::uint32_t b) { return load(a) < load(b); });
+    for (std::uint32_t rank = 0; rank < cores_.size(); ++rank) core_rank_[cores_[rank]] = rank;
+
+    // Leave the count tables zeroed for the next formation.
+    for (const Member& e : order_) mark_count_[e.cell] = 0;
+    std::fill(max_load_.begin(), max_load_.end(), 0u);
+  }
+
+  // One live request of a forming batch: its arrival, queue index, cell
+  // of mark_count_ and core slot.
+  struct Member {
+    Cycle arrive;
+    std::size_t index;
+    std::size_t cell;
+    std::uint32_t slot;
+  };
 
   std::uint32_t num_cores_;
   std::vector<std::uint32_t> core_rank_;
+  // Per queue (0 = reads, 1 = writes): live entries, and the live marked
+  // ones. A formation is pending while live > 0 and marked == 0.
+  std::size_t live_[2] = {0, 0};
+  std::size_t marked_[2] = {0, 0};
+  // Batch-formation scratch, reused across formations.
+  std::vector<Member> order_;
+  std::vector<std::uint32_t> mark_count_;  // (core slot, bank) -> marked
+  std::vector<std::uint32_t> max_load_;    // core slot -> max marked per bank
+  std::vector<std::uint32_t> other_cores_;
+  std::vector<std::uint32_t> cores_;
 };
 
 /// ATLAS (Kim et al., HPCA 2010): over long quanta, rank cores by total
@@ -133,6 +197,11 @@ class AtlasScheduler final : public Scheduler {
       if (!v.cores || core >= v.cores->size()) return 0;
       return (*v.cores)[core].attained_service;
     };
+    if (v.units) {
+      const std::size_t i = ranked_by_unit(
+          q, v, [&](const QueuedRequest& r, bool) { return service(r.req.core); });
+      if (i != kNoPick) return i;
+    }
     // Single scan, best key in locals (service asc, row-hit desc, age asc).
     std::size_t best = kNoPick, any = kNoPick;
     std::uint64_t b_service = 0;
@@ -200,6 +269,13 @@ class TcmScheduler final : public Scheduler {
   }
 
   std::size_t pick(const std::vector<QueuedRequest>& q, const SchedView& v) override {
+    if (v.units) {
+      const std::size_t i = ranked_by_unit(q, v, [this](const QueuedRequest& r, bool) {
+        const std::uint8_t c = cluster_of(r.req.core);
+        return (std::uint64_t{c} << 32) | (c == 1 ? shuffle_of(r.req.core) : 0);
+      });
+      if (i != kNoPick) return i;
+    }
     // Single scan with the best key in locals. Within the latency cluster
     // the shuffle rank never participates in the old comparator, so the
     // key maps cluster-0 cores to shuffle 0 — identical ordering.

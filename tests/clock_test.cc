@@ -240,7 +240,10 @@ mem::Request make_req(Addr addr, AccessType type, Cycle arrive) {
 // PARA RowHammer and rank power management all enabled — PAR-BS's
 // arrival-sensitive batch formation regressed in exactly this scenario
 // class during development. `sched_sel` is a SchedKind, or -1 for MISE.
-std::pair<Cycle, obs::StatRegistry::Snapshot> run_loaded(sim::ClockMode mode, int sched_sel) {
+// `visits`, when given, counts the loop's visits over the loaded span.
+constexpr Cycle kLoadedSpan = 120'000;
+std::pair<Cycle, obs::StatRegistry::Snapshot> run_loaded(sim::ClockMode mode, int sched_sel,
+                                                         std::uint64_t* visits = nullptr) {
   auto dram_cfg = dram::DramConfig::ddr4_2400();
   mem::ControllerConfig ctrl;
   ctrl.num_cores = 4;
@@ -276,8 +279,9 @@ std::pair<Cycle, obs::StatRegistry::Snapshot> run_loaded(sim::ClockMode mode, in
   cores.push_back({workloads::make_zipf(p, 0.9), 4, 0});
 
   Cycle now = sim::run_event_loop(
-      mode, 0, 120'000,
+      mode, 0, kLoadedSpan,
       [&](Cycle t) {
+        if (visits) ++*visits;
         for (std::size_t i = 0; i < cores.size(); ++i) {
           auto& c = cores[i];
           while (c.outstanding < c.mlp) {
@@ -326,6 +330,17 @@ TEST(ClockExact, LoadedQueueAllSchedulers) {
     EXPECT_GT(sa.second.at("mem.ctrl0.reads_done").value_or(0), 1000.0);
     EXPECT_GT(sa.second.at("mem.ctrl0.victim_refreshes").value_or(0), 0.0);
   }
+}
+
+TEST(SchedVisits, ParBsSkipsBetweenBatches) {
+  // PAR-BS asks for every cycle only while a batch formation is pending;
+  // between formations the loaded loop skips about as often as under
+  // FR-FCFS, which has no clocked state at all.
+  std::uint64_t par_bs = 0, fr_fcfs = 0;
+  run_loaded(sim::ClockMode::SkipAhead, static_cast<int>(mem::SchedKind::ParBs), &par_bs);
+  run_loaded(sim::ClockMode::SkipAhead, static_cast<int>(mem::SchedKind::FrFcfs), &fr_fcfs);
+  EXPECT_LT(par_bs * 2, kLoadedSpan);
+  EXPECT_LT(par_bs * 10, fr_fcfs * 11);
 }
 
 TEST(Spans, StagesSumExactlyToEndToEnd) {
@@ -797,9 +812,12 @@ TEST(ClockExact, ShardedSourcedDrainAllSchedulers) {
 /// Closed loop under a shard plan: each completion, delivered at a barrier,
 /// enqueues the next request into another channel — often one that sat idle
 /// through the previous span, whose cursor must restart at the span start.
-ShardedRun run_closed_loop(sim::ClockMode mode, unsigned shards) {
+/// Under PAR-BS such an enqueue into an empty queue starts a pending batch
+/// formation, which the scheduler learns of through on_enqueue.
+ShardedRun run_closed_loop(sim::ClockMode mode, unsigned shards, mem::SchedKind kind) {
   constexpr std::uint64_t kTotal = 600;
   mem::ControllerConfig ctrl;
+  ctrl.sched = kind;
   ctrl.num_cores = 4;
   ctrl.record_spans = true;
   mem::MemorySystem sys(sharded_dram(), ctrl);
@@ -823,13 +841,16 @@ ShardedRun run_closed_loop(sim::ClockMode mode, unsigned shards) {
 }
 
 TEST(ClockExact, ShardedClosedLoopDrain) {
-  const ShardedRun ref = run_closed_loop(sim::ClockMode::PerCycle, 1);
-  for (const unsigned w : {1u, 2u, 8u}) {
-    SCOPED_TRACE("width " + std::to_string(w));
-    expect_same(ref, run_closed_loop(sim::ClockMode::SkipAhead, w));
-    if (w > 1) expect_same(ref, run_closed_loop(sim::ClockMode::PerCycle, w));
+  for (const auto kind : {mem::SchedKind::FrFcfs, mem::SchedKind::ParBs}) {
+    SCOPED_TRACE(mem::to_string(kind));
+    const ShardedRun ref = run_closed_loop(sim::ClockMode::PerCycle, 1, kind);
+    for (const unsigned w : {1u, 2u, 8u}) {
+      SCOPED_TRACE("width " + std::to_string(w));
+      expect_same(ref, run_closed_loop(sim::ClockMode::SkipAhead, w, kind));
+      if (w > 1) expect_same(ref, run_closed_loop(sim::ClockMode::PerCycle, w, kind));
+    }
+    EXPECT_NE(ref.checksum, 0u);
   }
-  EXPECT_NE(ref.checksum, 0u);
 }
 
 TEST(ShardVisits, PerChannelVisitsAreWidthInvariant) {

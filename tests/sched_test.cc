@@ -2,6 +2,9 @@
 // hand-built queues against a real channel.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
 #include "common/clock.hh"
 #include "common/rng.hh"
 #include "dram/channel.hh"
@@ -137,6 +140,68 @@ TEST_F(SchedFixture, ParBsShortestJobFirstRanking) {
   EXPECT_EQ(q[pick].req.core, 1u);
 }
 
+TEST(SchedParBs, MarkCapIsPerBankOnWideRanks) {
+  // Rank 0 bank 256 and rank 1 bank 0 are different banks; a (rank << 8) |
+  // bank key would fold them into one and share one cap between them.
+  dram::DramConfig cfg = dram::DramConfig::ddr4_2400();
+  cfg.geometry.ranks = 2;
+  cfg.geometry.banks = 512;
+  dram::Channel chan{cfg, 0, nullptr};
+  std::vector<CoreState> cores(4);
+  auto s = make_scheduler(SchedKind::ParBs, 4);
+  std::vector<QueuedRequest> q;
+  for (std::uint32_t i = 0; i < 14; ++i) {
+    QueuedRequest r;
+    r.coord = i % 2 == 0 ? dram::Coord{0, 0, 256, 5 + i, 0} : dram::Coord{0, 1, 0, 5 + i, 0};
+    r.req.arrive = i;
+    q.push_back(r);
+  }
+  s->tick(SchedView{&chan, 0, &cores}, q);
+  std::size_t marked_r0 = 0, marked_r1 = 0;
+  for (const auto& r : q) {
+    if (!r.marked) continue;
+    ++(r.coord.rank == 0 ? marked_r0 : marked_r1);
+  }
+  EXPECT_EQ(marked_r0, 5u);
+  EXPECT_EQ(marked_r1, 5u);
+}
+
+TEST(SchedParBs, BatchMatchesSortedIndexOracle) {
+  // A batch holds the kMarkCap oldest live requests of each (core, bank).
+  // The oracle forms it directly: std::sort over bare queue indices by
+  // arrival, then per-(core, bank) counts in a map. Arrivals repeat, so
+  // the order std::sort leaves among equal arrivals decides marks too;
+  // core 4 lies outside the ranked cores.
+  dram::DramConfig cfg = dram::DramConfig::ddr4_2400();
+  dram::Channel chan{cfg, 0, nullptr};
+  std::vector<CoreState> cores(4);
+  Rng rng(11);
+  for (int round = 0; round < 40; ++round) {
+    SCOPED_TRACE(round);
+    auto s = make_scheduler(SchedKind::ParBs, 4);
+    std::vector<QueuedRequest> q(17 + rng.next_below(48));
+    for (QueuedRequest& r : q) {
+      r.coord = dram::Coord{0, 0, static_cast<std::uint32_t>(rng.next_below(3)),
+                            static_cast<std::uint32_t>(rng.next_below(64)), 0};
+      r.req.core = static_cast<std::uint32_t>(rng.next_below(5));
+      r.req.arrive = rng.next_below(6);
+      r.live = rng.chance(0.9);
+    }
+    s->tick(SchedView{&chan, 0, &cores}, q);
+
+    std::vector<std::size_t> order;
+    for (std::size_t i = 0; i < q.size(); ++i)
+      if (q[i].live) order.push_back(i);
+    std::sort(order.begin(), order.end(),
+              [&](std::size_t a, std::size_t b) { return q[a].req.arrive < q[b].req.arrive; });
+    std::map<std::pair<std::uint32_t, std::uint32_t>, int> count;
+    std::vector<bool> want(q.size(), false);
+    for (const std::size_t i : order)
+      if (count[{q[i].req.core, q[i].coord.bank}]++ < 5) want[i] = true;
+    for (std::size_t i = 0; i < q.size(); ++i) EXPECT_EQ(q[i].marked, want[i]) << "entry " << i;
+  }
+}
+
 TEST_F(SchedFixture, TcmFavoursLatencySensitiveCluster) {
   auto s = make_scheduler(SchedKind::Tcm, 2, 1);
   // Core 0 consumed massive bandwidth in the last quantum; core 1 little.
@@ -221,6 +286,7 @@ class RecordingScheduler final : public Scheduler {
   void on_service(const QueuedRequest& r, const SchedView& v) override {
     inner_->on_service(r, v);
   }
+  void on_enqueue(const QueuedRequest& r) override { inner_->on_enqueue(r); }
   void tick(const SchedView& v, std::vector<QueuedRequest>& q) override {
     inner_->tick(v, q);
   }
@@ -404,11 +470,13 @@ std::vector<std::pair<const char*, World>> unit_table_worlds() {
 }
 
 // Differential check for the unit-table pick: RecordingScheduler re-runs
-// every table pick of the first-ready policies as a scan and asserts the
-// same index, in each of those worlds.
+// every table pick of the first-ready and the ranked policies as a scan
+// and asserts the same index, in each of those worlds.
 TEST(SchedUnitTableDifferential, TablePickMatchesScan) {
   for (const auto& [name, world] : unit_table_worlds()) {
-    for (const SchedKind kind : {SchedKind::Fcfs, SchedKind::FrFcfs, SchedKind::FrFcfsCap}) {
+    for (const SchedKind kind :
+         {SchedKind::Fcfs, SchedKind::FrFcfs, SchedKind::FrFcfsCap, SchedKind::ParBs,
+          SchedKind::Atlas, SchedKind::Tcm, SchedKind::Bliss}) {
       SCOPED_TRACE(std::string(name) + "/" + to_string(kind));
       const WorldResult r = run_world(static_cast<int>(kind), world);
       // The table must carry most decisions, or the check proves nothing.
@@ -425,6 +493,12 @@ TEST(SchedUnitTableDifferential, TablePickMatchesScan) {
       }
     }
   }
+  // TCM ranks by cluster and shuffle rank only from its first 100k-cycle
+  // quantum on, so it also runs past two quanta.
+  World tcm_world;
+  tcm_world.cycles = 210'000;
+  const WorldResult tcm = run_world(static_cast<int>(SchedKind::Tcm), tcm_world);
+  EXPECT_GT(tcm.table_picks * 2, tcm.log.size() / 2);
 }
 
 // RL's table path must make the scan path's decision on every call: an
