@@ -465,6 +465,30 @@ TEST(CkptSystem, FileRoundTripMatchesInMemory) {
   std::remove(path.c_str());
 }
 
+// The sealed image of a fixed short run, pinned as a hash: a change to how
+// the caches or the prefetch bookkeeping hold their state must not move a
+// byte of what they write. The run leaves prefetched lines outstanding,
+// dirty lines in both levels and an L2 that is only partly filled.
+TEST(CkptSystem, SealedImageBytesArePinned) {
+  const auto cfg = matrix_system_config(sim::PrefetchKind::Stride);
+  sim::System sys(cfg, matrix_streams(cfg.num_cores));
+  sys.run(30'000);
+  sys.memory().drain(sys.now());
+
+  const auto& pf = sys.prefetch_stats();
+  EXPECT_GT(pf.issued, pf.useful + pf.useless);  // prefetched list non-empty
+  const auto& l2 = sys.l2().stats();
+  EXPECT_GT(l2.misses, 0u);
+  EXPECT_EQ(l2.evictions, 0u);  // partly filled
+  EXPECT_GT(sys.l1(0).stats().writebacks + sys.l1(1).stats().writebacks, 0u);
+
+  const std::vector<std::uint8_t> image = ckpt::seal(sim::checkpoint(sys));
+  std::uint64_t h = 14695981039346656037ull;  // FNV-1a 64
+  for (const std::uint8_t b : image) h = (h ^ b) * 1099511628211ull;
+  EXPECT_EQ(image.size(), 645'829u);
+  EXPECT_EQ(h, 0x735a30c46f94eef5ull);
+}
+
 // ---- corruption round-trips -----------------------------------------------
 
 ckpt::ErrorKind restore_error(const sim::SystemConfig& cfg,
