@@ -145,11 +145,13 @@ void System::retire_prefetched(Addr line, bool useful) {
 void System::handle_l1_victim(std::uint32_t /*core*/, const cache::Cache::FillResult& fr) {
   if (!fr.evicted || !fr.evicted_dirty) return;
   // Dirty L1 victim writes back into L2; its own victim may cascade to DRAM.
-  const auto l2fr = l2_->fill(*fr.evicted, /*dirty=*/true);
-  if (l2fr.evicted) {
-    retire_prefetched(*l2fr.evicted, /*useful=*/false);
-    if (l2fr.evicted_dirty) enqueue_mem_write(*l2fr.evicted);
-  }
+  handle_l2_victim(l2_->fill(*fr.evicted, /*dirty=*/true));
+}
+
+void System::handle_l2_victim(const cache::Cache::FillResult& fr) {
+  if (!fr.evicted) return;
+  retire_prefetched(*fr.evicted, /*useful=*/false);
+  if (fr.evicted_dirty) enqueue_mem_write(*fr.evicted);
 }
 
 void System::issue_prefetches(Addr addr, std::uint64_t pc, bool was_miss) {
@@ -171,10 +173,7 @@ void System::issue_prefetches(Addr addr, std::uint64_t pc, bool was_miss) {
       const auto fr = l2_->fill(line, /*dirty=*/false);
       prefetched_.insert(line);
       prefetch_pc_[line] = cpc;
-      if (fr.evicted) {
-        retire_prefetched(*fr.evicted, /*useful=*/false);
-        if (fr.evicted_dirty) enqueue_mem_write(*fr.evicted);
-      }
+      handle_l2_victim(fr);
     });
     if (ok) {
       ++pf_stats_.issued;
@@ -200,8 +199,7 @@ std::optional<Cycle> System::issue(std::uint32_t core, const workloads::TraceEnt
     pf.is_prefetch = true;
     pf.arrive = now;
     const bool ok = enqueue_mem(pf, [this, line](const mem::Request&) {
-      const auto fr = l2_->fill(line, /*dirty=*/false);
-      if (fr.evicted && fr.evicted_dirty) enqueue_mem_write(*fr.evicted);
+      handle_l2_victim(l2_->fill(line, /*dirty=*/false));
     });
     if (!ok) return std::nullopt;
     return now + 1;
@@ -232,10 +230,7 @@ std::optional<Cycle> System::issue(std::uint32_t core, const workloads::TraceEnt
     issue_prefetches(line, access.pc, /*was_miss=*/false);
     return now + cfg_.l2.hit_latency;
   }
-  if (l2res.fill.evicted) {
-    retire_prefetched(*l2res.fill.evicted, /*useful=*/false);
-    if (l2res.fill.evicted_dirty) enqueue_mem_write(*l2res.fill.evicted);
-  }
+  handle_l2_victim(l2res.fill);
 
   // Demand read first: it must claim the queue slot reserved by the
   // can_accept check above before prefetches can consume the remaining

@@ -159,6 +159,9 @@ class System final : public core::MemoryPort {
   /// event may now be earlier than its run() cursor.
   [[nodiscard]] bool enqueue_mem(const mem::Request& req, mem::CompletionCallback cb = nullptr);
   void handle_l1_victim(std::uint32_t core, const cache::Cache::FillResult& fr);
+  /// Every L2 fill site ends here: the victim leaves `prefetched_` as a
+  /// useless prefetch, and a dirty one is written back.
+  void handle_l2_victim(const cache::Cache::FillResult& fr);
   void enqueue_mem_write(Addr addr);
   void issue_prefetches(Addr addr, std::uint64_t pc, bool was_miss);
   void flush_pending_writes();

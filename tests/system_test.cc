@@ -145,6 +145,40 @@ TEST(System, FilteredPrefetchDropsUselessPrefetches) {
   EXPECT_GT(sys.prefetch_stats().issued, 0u);
 }
 
+TEST(System, RunaheadFillRetiresEvictedPrefetchAsUseless) {
+  // One-set, two-way caches: a write miss prefetches the next two lines
+  // into both L2 ways, then two runahead fills evict them. Each eviction
+  // is a useless prefetch, exactly as when a demand fill evicts one.
+  auto cfg = base_config();
+  cfg.prefetch = PrefetchKind::NextLine;
+  cfg.l1.size_bytes = cfg.l2.size_bytes = 2 * kLineBytes;
+  cfg.l1.ways = cfg.l2.ways = 2;
+  workloads::StreamParams p;
+  System sys(cfg, streams_for(1, [&](int) { return workloads::make_streaming(p); }));
+
+  const Addr x = 1 << 20;
+  workloads::TraceEntry e;
+  e.addr = x;
+  e.type = AccessType::Write;
+  ASSERT_TRUE(sys.issue(0, e, 0).has_value());
+  Cycle t = sys.memory().drain(0);
+  ASSERT_EQ(sys.prefetch_stats().issued, 2u);
+  ASSERT_TRUE(sys.l2().contains(x + kLineBytes));
+  ASSERT_TRUE(sys.l2().contains(x + 2 * kLineBytes));
+
+  for (const Addr y : {Addr{4} << 20, Addr{5} << 20}) {
+    e.addr = y;
+    e.type = AccessType::Read;
+    ASSERT_TRUE(sys.issue(0, e, t, /*speculative=*/true).has_value());
+    t = sys.memory().drain(t);
+    ASSERT_TRUE(sys.l2().contains(y));
+  }
+  EXPECT_FALSE(sys.l2().contains(x + kLineBytes));
+  EXPECT_FALSE(sys.l2().contains(x + 2 * kLineBytes));
+  EXPECT_EQ(sys.prefetch_stats().useless, 2u);
+  EXPECT_EQ(sys.prefetch_stats().useful, 0u);
+}
+
 TEST(System, MultiCoreSharesBandwidth) {
   workloads::StreamParams p;
   p.footprint = 64 << 20;
