@@ -1,6 +1,10 @@
 #include "common/rng.hh"
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <mutex>
+#include <optional>
 
 #include "common/ckpt.hh"
 
@@ -16,6 +20,45 @@ std::uint64_t splitmix64(std::uint64_t& x) {
 }
 
 std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+
+// The last few zeta(n, theta) results, shared by every thread: sweep points
+// and set-up loops build generators of the same shape over and over, and a
+// large n costs kZetaExactCutoff std::pow calls (about 1 ms). Keyed by
+// theta's bit pattern, so a hit returns the very double the sum gave.
+class ZetaMemo {
+ public:
+  std::optional<double> find(std::uint64_t n, std::uint64_t theta_bits) {
+    const std::lock_guard lock(mu_);
+    for (std::size_t i = 0; i < size_; ++i)
+      if (slots_[i].n == n && slots_[i].theta_bits == theta_bits) return slots_[i].zeta;
+    return std::nullopt;
+  }
+
+  void insert(std::uint64_t n, std::uint64_t theta_bits, double zeta) {
+    const std::lock_guard lock(mu_);
+    for (std::size_t i = 0; i < size_; ++i)  // another thread summed it first
+      if (slots_[i].n == n && slots_[i].theta_bits == theta_bits) return;
+    slots_[next_] = {n, theta_bits, zeta};
+    next_ = (next_ + 1) % slots_.size();
+    if (size_ < slots_.size()) ++size_;
+  }
+
+ private:
+  struct Slot {
+    std::uint64_t n = 0;
+    std::uint64_t theta_bits = 0;
+    double zeta = 0.0;
+  };
+  std::mutex mu_;
+  std::array<Slot, 16> slots_{};  // guarded by mu_
+  std::size_t size_ = 0;          // guarded by mu_
+  std::size_t next_ = 0;          // guarded by mu_
+};
+
+ZetaMemo& zeta_memo() {
+  static ZetaMemo memo;
+  return memo;
+}
 }  // namespace
 
 void Rng::reseed(std::uint64_t seed) {
@@ -76,11 +119,16 @@ double ZipfGenerator::zeta(std::uint64_t n, double theta) {
   //   integral_K^n x^-theta dx + (f(n) - f(K)) / 2 + (f'(n) - f'(K)) / 12
   // which at K = 65536 is accurate to ~1e-12 relative — far below the
   // resolution of any draw — while keeping setup bounded instead of O(n).
+  const std::uint64_t theta_bits = std::bit_cast<std::uint64_t>(theta);
+  if (const auto hit = zeta_memo().find(n, theta_bits)) return *hit;
   const std::uint64_t exact_n = n < kZetaExactCutoff ? n : kZetaExactCutoff;
   double sum = 0.0;
   for (std::uint64_t i = 1; i <= exact_n; ++i)
     sum += 1.0 / std::pow(static_cast<double>(i), theta);
-  if (n <= kZetaExactCutoff) return sum;
+  if (n <= kZetaExactCutoff) {
+    zeta_memo().insert(n, theta_bits, sum);
+    return sum;
+  }
 
   const double K = static_cast<double>(kZetaExactCutoff);
   const double N = static_cast<double>(n);
@@ -92,7 +140,9 @@ double ZipfGenerator::zeta(std::uint64_t n, double theta) {
                                     (1.0 - theta);
   const double trapezoid = 0.5 * (fN - fK);
   const double derivative = -theta * (fN / N - fK / K) / 12.0;
-  return sum + integral + trapezoid + derivative;
+  const double z = sum + integral + trapezoid + derivative;
+  zeta_memo().insert(n, theta_bits, z);
+  return z;
 }
 
 ZipfGenerator::ZipfGenerator(std::uint64_t n, double theta, std::uint64_t seed)

@@ -10,6 +10,7 @@
 #include "common/stats.hh"
 #include "common/table.hh"
 #include "common/types.hh"
+#include "harness/sweep.hh"
 
 namespace ima {
 namespace {
@@ -166,6 +167,33 @@ TEST(Zipf, TailApproximationMatchesExactFrequencies) {
   const double expected = 1.0 / zetan_exact;
   const double got = static_cast<double>(zeros) / draws;
   EXPECT_NEAR(got, expected, 0.15 * expected);
+}
+
+TEST(Zipf, MemoizedZetaGivesTheSummedDraws) {
+  // A shape no other test builds: the first generator sums zeta, the
+  // second reads it from the memo.
+  const std::uint64_t n = ZipfGenerator::kZetaExactCutoff * 3 + 17;
+  ZipfGenerator cold(n, 0.8125, 4);
+  ZipfGenerator warm(n, 0.8125, 4);
+  for (int i = 0; i < 10'000; ++i) ASSERT_EQ(cold.next(), warm.next());
+}
+
+TEST(Zipf, ConcurrentConstructionFromPoolWorkersMatchesSerial) {
+  // More shapes than the memo holds, built from four pool workers at once
+  // while slots are being replaced.
+  constexpr std::size_t kShapes = 40;
+  const auto draws = [](std::size_t shape) {
+    ZipfGenerator z(1000 + 37 * shape, 0.5 + 0.01 * static_cast<double>(shape), shape + 1);
+    std::uint64_t h = 0;
+    for (int i = 0; i < 256; ++i) h = h * 31 + z.next();
+    return h;
+  };
+  std::vector<std::uint64_t> serial(kShapes);
+  for (std::size_t s = 0; s < kShapes; ++s) serial[s] = draws(s);
+  std::vector<std::uint64_t> pooled(kShapes * 4);
+  harness::run_indexed(pooled.size(), 4,
+                       [&](std::size_t j, unsigned) { pooled[j] = draws(j % kShapes); });
+  for (std::size_t j = 0; j < pooled.size(); ++j) EXPECT_EQ(pooled[j], serial[j % kShapes]);
 }
 
 TEST(RunningStat, BasicMoments) {
