@@ -5,6 +5,8 @@
 #include <benchmark/benchmark.h>
 
 #include <array>
+#include <utility>
+#include <vector>
 
 #include "aware/compress.hh"
 #include "bench/mc_harness.hh"
@@ -54,6 +56,40 @@ void BM_CacheAccess(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CacheAccess);
+
+// The cache layer's cost per access on its own: pre-drawn (address, type)
+// pairs cycle through a ring, so the timed loop is the cache alone.
+void BM_CacheStream(benchmark::State& state, std::uint64_t size_bytes, std::uint32_t ways,
+                    cache::ReplPolicy repl, std::uint64_t footprint, double write_fraction) {
+  cache::CacheConfig cfg;
+  cfg.size_bytes = size_bytes;
+  cfg.ways = ways;
+  cfg.repl = repl;
+  cache::Cache c(cfg);
+  Rng rng(1);
+  std::vector<std::pair<Addr, AccessType>> ops(1 << 16);
+  for (auto& [addr, type] : ops) {
+    addr = line_base(rng.next_below(footprint));
+    type = rng.chance(write_fraction) ? AccessType::Write : AccessType::Read;
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const auto& [addr, type] = ops[i++ & (ops.size() - 1)];
+    benchmark::DoNotOptimize(c.access(addr, type));
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["miss_rate"] = c.stats().miss_rate();
+  state.counters["writebacks_per_access"] =
+      static_cast<double>(c.stats().writebacks) / static_cast<double>(state.iterations());
+}
+// L1-shaped, hit-heavy: a 24 KiB working set in a 32 KiB 8-way LRU L1.
+BENCHMARK_CAPTURE(BM_CacheStream, l1_hits, 32 << 10, 8, cache::ReplPolicy::Lru, 24 << 10, 0.0);
+// L2-shaped write mix over 4x the capacity: most misses evict a dirty line.
+BENCHMARK_CAPTURE(BM_CacheStream, l2_write_mix, 2 << 20, 16, cache::ReplPolicy::Lru, 8 << 20,
+                  0.3);
+BENCHMARK_CAPTURE(BM_CacheStream, l2_drrip, 2 << 20, 16, cache::ReplPolicy::Drrip, 4 << 20, 0.2);
+BENCHMARK_CAPTURE(BM_CacheStream, l2_eaf_lru, 2 << 20, 16, cache::ReplPolicy::EafLru, 4 << 20,
+                  0.2);
 
 void BM_BdiCompress(benchmark::State& state) {
   Rng rng(2);

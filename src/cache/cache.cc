@@ -1,5 +1,6 @@
 #include "cache/cache.hh"
 
+#include <algorithm>
 #include <cassert>
 
 #include "common/bits.hh"
@@ -27,47 +28,48 @@ const char* to_string(ReplPolicy p) {
   return "?";
 }
 
-Cache::Cache(const CacheConfig& cfg) : cfg_(cfg), rng_(cfg.seed) {
-  assert(cfg_.sets() > 0 && is_pow2(cfg_.sets()));
-  lines_.resize(static_cast<std::size_t>(cfg_.sets()) * cfg_.ways);
+Cache::Cache(const CacheConfig& cfg)
+    : cfg_(cfg),
+      sets_(cfg.sets()),
+      set_mask_(sets_ - 1),
+      lines_(static_cast<std::size_t>(sets_) * cfg.ways),
+      // One allocation: three separate vectors of this size cost a trim and
+      // re-fault of each freed block on every construction.
+      block_(2 * lines_ + (lines_ + 7) / 8),
+      rng_(cfg.seed) {
+  assert(sets_ > 0 && is_pow2(sets_));
+  std::fill_n(rrpv(), lines_, std::uint8_t{3});
 }
 
-std::uint32_t Cache::set_of(Addr addr) const {
-  return static_cast<std::uint32_t>((addr / kLineBytes) & (cfg_.sets() - 1));
+std::uint32_t Cache::find_way(std::size_t base, Addr tag) const {
+  const std::uint64_t* w = words() + base;
+  const std::uint64_t want = tag | kValid;
+  for (std::uint32_t i = 0; i < cfg_.ways; ++i)
+    if ((w[i] & ~kDirty) == want) return i;
+  return cfg_.ways;
 }
 
-Cache::Line* Cache::find(Addr addr) {
-  const std::uint32_t s = set_of(addr);
-  const Addr tag = tag_of(addr);
-  for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
-    Line& l = lines_[static_cast<std::size_t>(s) * cfg_.ways + w];
-    if (l.valid && l.tag == tag) return &l;
-  }
-  return nullptr;
+bool Cache::contains(Addr addr) const {
+  const Addr tag = line_base(addr);
+  return find_way(static_cast<std::size_t>(set_of(addr)) * cfg_.ways, tag) != cfg_.ways;
 }
 
-const Cache::Line* Cache::find(Addr addr) const {
-  return const_cast<Cache*>(this)->find(addr);
-}
-
-bool Cache::contains(Addr addr) const { return find(addr) != nullptr; }
-
-void Cache::touch(Line& line, bool is_insert) {
-  line.lru = ++clock_;
+void Cache::touch(std::size_t line, bool is_insert) {
+  lru()[line] = ++clock_;
   switch (cfg_.repl) {
     case ReplPolicy::Srrip:
-      line.rrpv = is_insert ? 2 : 0;
+      rrpv()[line] = is_insert ? 2 : 0;
       break;
     case ReplPolicy::Drrip: {
       if (!is_insert) {
-        line.rrpv = 0;
+        rrpv()[line] = 0;
         break;
       }
       // Set dueling between SRRIP insertion (rrpv=2) and bimodal (rrpv=3
       // mostly): psel tracks which leader policy misses less.
       const bool brrip_mode = psel_ >= 512;
-      if (brrip_mode) line.rrpv = rng_.chance(1.0 / 32.0) ? 2 : 3;
-      else line.rrpv = 2;
+      if (brrip_mode) rrpv()[line] = rng_.chance(1.0 / 32.0) ? 2 : 3;
+      else rrpv()[line] = 2;
       break;
     }
     default:
@@ -75,71 +77,85 @@ void Cache::touch(Line& line, bool is_insert) {
   }
 }
 
-std::uint32_t Cache::choose_victim(std::uint32_t set) {
-  Line* base = &lines_[static_cast<std::size_t>(set) * cfg_.ways];
+std::uint32_t Cache::choose_victim(std::size_t base) {
+  const std::uint64_t* w = words() + base;
   // Invalid line first.
-  for (std::uint32_t w = 0; w < cfg_.ways; ++w)
-    if (!base[w].valid) return w;
+  for (std::uint32_t i = 0; i < cfg_.ways; ++i)
+    if (!(w[i] & kValid)) return i;
 
   switch (cfg_.repl) {
     case ReplPolicy::Random:
       return static_cast<std::uint32_t>(rng_.next_below(cfg_.ways));
     case ReplPolicy::Srrip:
     case ReplPolicy::Drrip: {
+      std::uint8_t* r = rrpv() + base;
       for (;;) {
-        for (std::uint32_t w = 0; w < cfg_.ways; ++w)
-          if (base[w].rrpv >= 3) return w;
-        for (std::uint32_t w = 0; w < cfg_.ways; ++w)
-          if (base[w].rrpv < 3) ++base[w].rrpv;
+        for (std::uint32_t i = 0; i < cfg_.ways; ++i)
+          if (r[i] >= 3) return i;
+        for (std::uint32_t i = 0; i < cfg_.ways; ++i)
+          if (r[i] < 3) ++r[i];
       }
     }
     case ReplPolicy::Lru:
     case ReplPolicy::EafLru:
     default: {
+      const std::uint64_t* stamp = lru() + base;
       std::uint32_t victim = 0;
-      for (std::uint32_t w = 1; w < cfg_.ways; ++w)
-        if (base[w].lru < base[victim].lru) victim = w;
+      for (std::uint32_t i = 1; i < cfg_.ways; ++i)
+        if (stamp[i] < stamp[victim]) victim = i;
       return victim;
     }
   }
 }
 
 Cache::AccessResult Cache::access(Addr addr, AccessType type) {
+  const std::uint32_t set = set_of(addr);
+  const std::size_t base = static_cast<std::size_t>(set) * cfg_.ways;
+  const Addr tag = line_base(addr);
   AccessResult res;
-  if (Line* l = find(addr)) {
+  if (const std::uint32_t w = find_way(base, tag); w != cfg_.ways) {
     res.hit = true;
     ++stats_.hits;
-    touch(*l, /*is_insert=*/false);
-    if (type == AccessType::Write) l->dirty = true;
+    touch(base + w, /*is_insert=*/false);
+    if (type == AccessType::Write) words()[base + w] |= kDirty;
     return res;
   }
   ++stats_.misses;
-  res.fill = fill(addr, type == AccessType::Write);
+  res.fill = install(set, base, tag, type == AccessType::Write ? kDirty : 0);
   return res;
 }
 
 Cache::FillResult Cache::fill(Addr addr, bool dirty) {
-  const std::uint32_t s = set_of(addr);
-  if (Line* existing = find(addr)) {  // racing fills are idempotent
-    existing->dirty |= dirty;
+  const std::uint32_t set = set_of(addr);
+  const std::size_t base = static_cast<std::size_t>(set) * cfg_.ways;
+  const Addr tag = line_base(addr);
+  const std::uint64_t flags = dirty ? kDirty : 0;
+  if (const std::uint32_t w = find_way(base, tag); w != cfg_.ways) {
+    words()[base + w] |= flags;  // racing fills are idempotent
     return {};
   }
-  const std::uint32_t w = choose_victim(s);
-  Line& l = lines_[static_cast<std::size_t>(s) * cfg_.ways + w];
+  return install(set, base, tag, flags);
+}
+
+Cache::FillResult Cache::install(std::uint32_t set, std::size_t base, Addr tag,
+                                 std::uint64_t flags) {
+  const std::size_t line = base + choose_victim(base);
+  std::uint64_t& word = words()[line];
 
   FillResult res;
-  if (l.valid) {
+  if (word & kValid) {
+    const Addr victim = word & ~kFlagMask;
     ++stats_.evictions;
-    res.evicted = l.tag;
-    if (l.dirty) {
+    res.evicted = victim;
+    if (word & kDirty) {
       res.evicted_dirty = true;
       ++stats_.writebacks;
     }
     if (cfg_.repl == ReplPolicy::EafLru) {
       // Remember the evicted address in the EAF.
-      if (eaf_set_.insert(l.tag).second) {
-        eaf_fifo_.push_back(l.tag);
-        if (eaf_fifo_.size() > static_cast<std::size_t>(cfg_.sets()) * cfg_.ways) {
+      if (eaf_set_.insert(victim).second) {
+        eaf_fifo_.push_back(victim);
+        if (eaf_fifo_.size() > lines_) {
           eaf_set_.erase(eaf_fifo_.front());
           eaf_fifo_.pop_front();
         }
@@ -147,49 +163,49 @@ Cache::FillResult Cache::fill(Addr addr, bool dirty) {
     }
     if (cfg_.repl == ReplPolicy::Drrip) {
       // Leader-set bookkeeping: low sets lead SRRIP, high sets lead BRRIP.
-      if (s < 32 && psel_ < 1023) ++psel_;
-      else if (s >= cfg_.sets() - 32 && psel_ > 0) --psel_;
+      if (set < 32 && psel_ < 1023) ++psel_;
+      else if (set >= sets_ - 32 && psel_ > 0) --psel_;
     }
   }
 
-  l.valid = true;
-  l.dirty = dirty;
-  l.tag = tag_of(addr);
-  touch(l, /*is_insert=*/true);
+  word = tag | kValid | flags;
+  touch(line, /*is_insert=*/true);
 
-  if (cfg_.repl == ReplPolicy::EafLru && eaf_set_.count(l.tag)) {
+  if (cfg_.repl == ReplPolicy::EafLru && eaf_set_.count(tag)) {
     // Recently evicted and returned: high reuse — keep long (nothing to do
     // for LRU beyond the touch). Remove from filter.
-    eaf_set_.erase(l.tag);
+    eaf_set_.erase(tag);
   } else if (cfg_.repl == ReplPolicy::EafLru) {
     // First-time or streaming line: insert at LRU position instead of MRU
     // so cache pollution evicts itself first.
-    l.lru = 0;
+    lru()[line] = 0;
   }
   return res;
 }
 
 std::optional<Addr> Cache::invalidate(Addr addr) {
-  if (Line* l = find(addr)) {
-    l->valid = false;
-    if (l->dirty) {
-      l->dirty = false;
-      return l->tag;
-    }
-  }
+  const std::size_t base = static_cast<std::size_t>(set_of(addr)) * cfg_.ways;
+  const Addr tag = line_base(addr);
+  const std::uint32_t w = find_way(base, tag);
+  if (w == cfg_.ways) return std::nullopt;
+  std::uint64_t& word = words()[base + w];
+  const bool dirty = (word & kDirty) != 0;
+  word = tag;
+  if (dirty) return tag;
   return std::nullopt;
 }
 
 void Cache::save_state(ckpt::Sink& s) const {
   s.section("cache");
   s.str(cfg_.name);
-  s.u64(lines_.size());
-  for (const Line& l : lines_) {
-    s.b(l.valid);
-    s.b(l.dirty);
-    s.u64(l.tag);
-    s.u64(l.lru);
-    s.u8(l.rrpv);
+  s.u64(lines_);
+  for (std::size_t i = 0; i < lines_; ++i) {
+    const std::uint64_t word = words()[i];
+    s.b((word & kValid) != 0);
+    s.b((word & kDirty) != 0);
+    s.u64(word & ~kFlagMask);
+    s.u64(lru()[i]);
+    s.u8(rrpv()[i]);
   }
   s.u64(clock_);
   rng_.save_state(s);
@@ -205,13 +221,15 @@ void Cache::save_state(ckpt::Sink& s) const {
 void Cache::load_state(ckpt::Source& s) {
   s.section("cache");
   s.match_str(cfg_.name, "cache name");
-  s.match_u64(lines_.size(), "cache line count");
-  for (Line& l : lines_) {
-    l.valid = s.b();
-    l.dirty = s.b();
-    l.tag = s.u64();
-    l.lru = s.u64();
-    l.rrpv = s.u8();
+  s.match_u64(lines_, "cache line count");
+  for (std::size_t i = 0; i < lines_; ++i) {
+    const bool valid = s.b();
+    const bool dirty = s.b();
+    const Addr tag = s.u64();
+    if (tag & kFlagMask) s.fail(ckpt::ErrorKind::Format, "cache tag is not a line base");
+    words()[i] = tag | (valid ? kValid : 0) | (dirty ? kDirty : 0);
+    lru()[i] = s.u64();
+    rrpv()[i] = s.u8();
   }
   clock_ = s.u64();
   rng_.load_state(s);

@@ -93,23 +93,41 @@ class Cache {
   void load_state(ckpt::Source& s);
 
  private:
-  struct Line {
-    bool valid = false;
-    bool dirty = false;
-    Addr tag = 0;
-    std::uint64_t lru = 0;      // higher = more recent
-    std::uint8_t rrpv = 3;      // RRIP re-reference prediction value
-  };
+  // Per-line state lives in one block (DESIGN.md "Cache state layout"):
+  // `lines_` tag words, then `lines_` LRU stamps, then `lines_` RRIP bytes.
+  // A tag word is the line base with the flags below in the low bits that
+  // a line base leaves zero; an invalidated line keeps its base.
+  static constexpr std::uint64_t kValid = 1;
+  static constexpr std::uint64_t kDirty = 2;
+  static constexpr std::uint64_t kFlagMask = kLineBytes - 1;
+  static_assert(kLineBytes >= 4 && (kLineBytes & (kLineBytes - 1)) == 0,
+                "the tag word's flags sit below the line offset");
 
-  std::uint32_t set_of(Addr addr) const;
-  Addr tag_of(Addr addr) const { return line_base(addr); }
-  Line* find(Addr addr);
-  const Line* find(Addr addr) const;
-  std::uint32_t choose_victim(std::uint32_t set);
-  void touch(Line& line, bool is_insert);
+  std::uint32_t set_of(Addr addr) const {
+    return static_cast<std::uint32_t>((addr / kLineBytes) & set_mask_);
+  }
+  std::uint64_t* words() { return block_.data(); }
+  const std::uint64_t* words() const { return block_.data(); }
+  std::uint64_t* lru() { return block_.data() + lines_; }
+  const std::uint64_t* lru() const { return block_.data() + lines_; }
+  std::uint8_t* rrpv() { return reinterpret_cast<std::uint8_t*>(block_.data() + 2 * lines_); }
+  const std::uint8_t* rrpv() const {
+    return reinterpret_cast<const std::uint8_t*>(block_.data() + 2 * lines_);
+  }
+
+  /// Way of the valid line holding `tag` in the set whose first line is
+  /// `base`, or cfg_.ways when it is absent.
+  std::uint32_t find_way(std::size_t base, Addr tag) const;
+  std::uint32_t choose_victim(std::size_t base);
+  /// Miss path after the lookup: evict, then install `tag` with `flags`.
+  FillResult install(std::uint32_t set, std::size_t base, Addr tag, std::uint64_t flags);
+  void touch(std::size_t line, bool is_insert);
 
   CacheConfig cfg_;
-  std::vector<Line> lines_;  // sets * ways, row-major by set
+  std::uint32_t sets_;
+  std::uint32_t set_mask_;
+  std::size_t lines_;                 // sets * ways, row-major by set
+  std::vector<std::uint64_t> block_;  // words | LRU stamps | RRIP bytes
   std::uint64_t clock_ = 0;
   Rng rng_;
   Stats stats_;

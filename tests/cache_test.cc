@@ -1,7 +1,16 @@
-// Cache model tests: lookup/eviction semantics, replacement policies.
+// Cache model tests: lookup/eviction semantics, replacement policies, and
+// a differential test of the packed tag-word layout against the
+// array-of-structs model it replaced.
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <optional>
+#include <unordered_set>
+#include <vector>
+
 #include "cache/cache.hh"
+#include "common/bits.hh"
+#include "common/ckpt.hh"
 #include "common/rng.hh"
 
 namespace ima::cache {
@@ -190,6 +199,286 @@ TEST(Cache, RandomFuzzNeverBreaksInvariants) {
   }
   EXPECT_EQ(c.stats().hits + c.stats().misses, 100'000u);
 }
+
+// ---- differential test against the array-of-structs reference ----------
+
+/// The array-of-structs cache that src/cache used before its state became
+/// packed tag words in one block: one struct per line, and a miss that
+/// re-walks the set in fill() and again in choose_victim(). Kept as the
+/// oracle; every result, stat and checkpoint byte must match.
+class RefCache {
+ public:
+  explicit RefCache(const CacheConfig& cfg) : cfg_(cfg), rng_(cfg.seed) {
+    lines_.resize(static_cast<std::size_t>(cfg_.sets()) * cfg_.ways);
+  }
+
+  Cache::AccessResult access(Addr addr, AccessType type) {
+    Cache::AccessResult res;
+    if (Line* l = find(addr)) {
+      res.hit = true;
+      ++stats_.hits;
+      touch(*l, /*is_insert=*/false);
+      if (type == AccessType::Write) l->dirty = true;
+      return res;
+    }
+    ++stats_.misses;
+    res.fill = fill(addr, type == AccessType::Write);
+    return res;
+  }
+
+  bool contains(Addr addr) { return find(addr) != nullptr; }
+
+  Cache::FillResult fill(Addr addr, bool dirty) {
+    const std::uint32_t s = set_of(addr);
+    if (Line* existing = find(addr)) {
+      existing->dirty |= dirty;
+      return {};
+    }
+    const std::uint32_t w = choose_victim(s);
+    Line& l = lines_[static_cast<std::size_t>(s) * cfg_.ways + w];
+    Cache::FillResult res;
+    if (l.valid) {
+      ++stats_.evictions;
+      res.evicted = l.tag;
+      if (l.dirty) {
+        res.evicted_dirty = true;
+        ++stats_.writebacks;
+      }
+      if (cfg_.repl == ReplPolicy::EafLru) {
+        if (eaf_set_.insert(l.tag).second) {
+          eaf_fifo_.push_back(l.tag);
+          if (eaf_fifo_.size() > static_cast<std::size_t>(cfg_.sets()) * cfg_.ways) {
+            eaf_set_.erase(eaf_fifo_.front());
+            eaf_fifo_.pop_front();
+          }
+        }
+      }
+      if (cfg_.repl == ReplPolicy::Drrip) {
+        if (s < 32 && psel_ < 1023) ++psel_;
+        else if (s >= cfg_.sets() - 32 && psel_ > 0) --psel_;
+      }
+    }
+    l.valid = true;
+    l.dirty = dirty;
+    l.tag = line_base(addr);
+    touch(l, /*is_insert=*/true);
+    if (cfg_.repl == ReplPolicy::EafLru && eaf_set_.count(l.tag)) {
+      eaf_set_.erase(l.tag);
+    } else if (cfg_.repl == ReplPolicy::EafLru) {
+      l.lru = 0;
+    }
+    return res;
+  }
+
+  std::optional<Addr> invalidate(Addr addr) {
+    if (Line* l = find(addr)) {
+      l->valid = false;
+      if (l->dirty) {
+        l->dirty = false;
+        return l->tag;
+      }
+    }
+    return std::nullopt;
+  }
+
+  const Cache::Stats& stats() const { return stats_; }
+
+  void save_state(ckpt::Sink& s) const {
+    s.section("cache");
+    s.str(cfg_.name);
+    s.u64(lines_.size());
+    for (const Line& l : lines_) {
+      s.b(l.valid);
+      s.b(l.dirty);
+      s.u64(l.tag);
+      s.u64(l.lru);
+      s.u8(l.rrpv);
+    }
+    s.u64(clock_);
+    rng_.save_state(s);
+    s.u64(stats_.hits);
+    s.u64(stats_.misses);
+    s.u64(stats_.evictions);
+    s.u64(stats_.writebacks);
+    s.u32(psel_);
+    s.u64(eaf_fifo_.size());
+    for (Addr a : eaf_fifo_) s.u64(a);
+  }
+
+ private:
+  struct Line {
+    bool valid = false;
+    bool dirty = false;
+    Addr tag = 0;
+    std::uint64_t lru = 0;
+    std::uint8_t rrpv = 3;
+  };
+
+  std::uint32_t set_of(Addr addr) const {
+    return static_cast<std::uint32_t>((addr / kLineBytes) & (cfg_.sets() - 1));
+  }
+
+  Line* find(Addr addr) {
+    const std::uint32_t s = set_of(addr);
+    const Addr tag = line_base(addr);
+    for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
+      Line& l = lines_[static_cast<std::size_t>(s) * cfg_.ways + w];
+      if (l.valid && l.tag == tag) return &l;
+    }
+    return nullptr;
+  }
+
+  void touch(Line& line, bool is_insert) {
+    line.lru = ++clock_;
+    switch (cfg_.repl) {
+      case ReplPolicy::Srrip:
+        line.rrpv = is_insert ? 2 : 0;
+        break;
+      case ReplPolicy::Drrip:
+        if (!is_insert) line.rrpv = 0;
+        else if (psel_ >= 512) line.rrpv = rng_.chance(1.0 / 32.0) ? 2 : 3;
+        else line.rrpv = 2;
+        break;
+      default:
+        break;
+    }
+  }
+
+  std::uint32_t choose_victim(std::uint32_t set) {
+    Line* base = &lines_[static_cast<std::size_t>(set) * cfg_.ways];
+    for (std::uint32_t w = 0; w < cfg_.ways; ++w)
+      if (!base[w].valid) return w;
+    switch (cfg_.repl) {
+      case ReplPolicy::Random:
+        return static_cast<std::uint32_t>(rng_.next_below(cfg_.ways));
+      case ReplPolicy::Srrip:
+      case ReplPolicy::Drrip:
+        for (;;) {
+          for (std::uint32_t w = 0; w < cfg_.ways; ++w)
+            if (base[w].rrpv >= 3) return w;
+          for (std::uint32_t w = 0; w < cfg_.ways; ++w)
+            if (base[w].rrpv < 3) ++base[w].rrpv;
+        }
+      default: {
+        std::uint32_t victim = 0;
+        for (std::uint32_t w = 1; w < cfg_.ways; ++w)
+          if (base[w].lru < base[victim].lru) victim = w;
+        return victim;
+      }
+    }
+  }
+
+  CacheConfig cfg_;
+  std::vector<Line> lines_;
+  std::uint64_t clock_ = 0;
+  Rng rng_;
+  Cache::Stats stats_;
+  std::uint32_t psel_ = 512;
+  std::deque<Addr> eaf_fifo_;
+  std::unordered_set<Addr> eaf_set_;
+};
+
+template <typename C>
+std::vector<std::uint8_t> image(const C& c) {
+  ckpt::Sink s;
+  c.save_state(s);
+  return s.take();
+}
+
+struct Shape {
+  const char* name;
+  std::uint64_t size_bytes;
+  std::uint32_t ways;
+  int steps;
+  int image_every;  // compare checkpoint bytes every this many steps
+};
+
+// The 8x8 tiny cache and the System's default L1 and L2. The L2 image is
+// 850 KB, so it is compared every 64 steps and at the end.
+constexpr Shape kShapes[] = {{"tiny", 4 * 1024, 8, 20'000, 1},
+                             {"L1", 32 * 1024, 8, 6'000, 1},
+                             {"L2", 2 * 1024 * 1024, 16, 6'000, 64}};
+
+class CacheDifferential
+    : public ::testing::TestWithParam<std::tuple<ReplPolicy, Shape>> {};
+
+TEST_P(CacheDifferential, MatchesArrayOfStructsReference) {
+  const auto [policy, shape] = GetParam();
+  CacheConfig cfg;
+  cfg.name = shape.name;
+  cfg.size_bytes = shape.size_bytes;
+  cfg.ways = shape.ways;
+  cfg.repl = policy;
+  cfg.seed = 3;
+  Cache dut(cfg);
+  RefCache ref(cfg);
+  const std::uint32_t sets = cfg.sets();
+
+  // Traffic concentrates on a few sets, so every shape evicts; the sets
+  // include both DRRIP leader groups (below 32 and the top 32) and
+  // followers. Tags come from a small pool (reuse) or anywhere.
+  const std::uint32_t hot_sets[] = {0, 1, 31, 32, sets / 2, sets - 33, sets - 32, sets - 1};
+  Rng rng(static_cast<std::uint64_t>(policy) * 7919 + sets);
+  std::vector<Addr> recent;
+  const auto draw_addr = [&] {
+    const std::uint32_t set = hot_sets[rng.next_below(std::size(hot_sets))] % sets;
+    const std::uint64_t k =
+        rng.chance(0.9) ? rng.next_below(2 * shape.ways + 2) : rng.next_below(1ull << 30);
+    return (k * sets + set) * kLineBytes + rng.next_below(kLineBytes);
+  };
+  const auto same_fill = [](const Cache::FillResult& a, const Cache::FillResult& b) {
+    return a.evicted == b.evicted && a.evicted_dirty == b.evicted_dirty;
+  };
+
+  for (int step = 0; step < shape.steps; ++step) {
+    // 0-24 read, 25-39 write, 40-59 fill, 60-69 read a recent address,
+    // 70-84 refill a recent (mostly resident) line, 85-91 invalidate,
+    // 92-99 probe.
+    const std::uint64_t op = rng.next_below(100);
+    const bool reuse = op >= 60 && op < 85 && !recent.empty();
+    const Addr a = reuse ? recent[rng.next_below(recent.size())] : draw_addr();
+    if (op < 40 || (op >= 60 && op < 70)) {
+      const auto type = op < 25 || op >= 60 ? AccessType::Read : AccessType::Write;
+      const auto d = dut.access(a, type);
+      const auto r = ref.access(a, type);
+      ASSERT_EQ(d.hit, r.hit) << "step " << step;
+      ASSERT_TRUE(same_fill(d.fill, r.fill)) << "step " << step;
+    } else if (op < 85) {
+      const bool dirty = rng.chance(0.5);
+      ASSERT_TRUE(same_fill(dut.fill(a, dirty), ref.fill(a, dirty))) << "step " << step;
+    } else if (op < 92) {
+      ASSERT_EQ(dut.invalidate(a), ref.invalidate(a)) << "step " << step;
+    } else {
+      ASSERT_EQ(dut.contains(a), ref.contains(a)) << "step " << step;
+    }
+    if (recent.size() < 16) recent.push_back(a);
+    else recent[rng.next_below(recent.size())] = a;
+
+    const auto& ds = dut.stats();
+    const auto& rs = ref.stats();
+    ASSERT_EQ(ds.hits, rs.hits) << "step " << step;
+    ASSERT_EQ(ds.misses, rs.misses) << "step " << step;
+    ASSERT_EQ(ds.evictions, rs.evictions) << "step " << step;
+    ASSERT_EQ(ds.writebacks, rs.writebacks) << "step " << step;
+    if (step % shape.image_every == 0 || step + 1 == shape.steps) {
+      ASSERT_EQ(image(dut), image(ref)) << "step " << step;
+    }
+  }
+  EXPECT_GT(dut.stats().evictions, 0u);
+  EXPECT_GT(dut.stats().writebacks, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PoliciesByShape, CacheDifferential,
+    ::testing::Combine(::testing::Values(ReplPolicy::Lru, ReplPolicy::Random, ReplPolicy::Srrip,
+                                         ReplPolicy::Drrip, ReplPolicy::EafLru),
+                       ::testing::ValuesIn(kShapes)),
+    [](const auto& info) {
+      std::string n = to_string(std::get<0>(info.param));
+      for (auto& c : n)
+        if (c == '-') c = '_';
+      return n + "_" + std::get<1>(info.param).name;
+    });
 
 }  // namespace
 }  // namespace ima::cache
