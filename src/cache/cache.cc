@@ -45,7 +45,7 @@ std::uint32_t Cache::find_way(std::size_t base, Addr tag) const {
   const std::uint64_t* w = words() + base;
   const std::uint64_t want = tag | kValid;
   for (std::uint32_t i = 0; i < cfg_.ways; ++i)
-    if ((w[i] & ~kDirty) == want) return i;
+    if ((w[i] & ~(kDirty | kPrefetched)) == want) return i;
   return cfg_.ways;
 }
 
@@ -114,10 +114,12 @@ Cache::AccessResult Cache::access(Addr addr, AccessType type) {
   const Addr tag = line_base(addr);
   AccessResult res;
   if (const std::uint32_t w = find_way(base, tag); w != cfg_.ways) {
+    std::uint64_t& word = words()[base + w];
     res.hit = true;
+    res.hit_prefetched = (word & kPrefetched) != 0;
     ++stats_.hits;
     touch(base + w, /*is_insert=*/false);
-    if (type == AccessType::Write) words()[base + w] |= kDirty;
+    word = (word & ~kPrefetched) | (type == AccessType::Write ? kDirty : 0);
     return res;
   }
   ++stats_.misses;
@@ -125,11 +127,11 @@ Cache::AccessResult Cache::access(Addr addr, AccessType type) {
   return res;
 }
 
-Cache::FillResult Cache::fill(Addr addr, bool dirty) {
+Cache::FillResult Cache::fill(Addr addr, bool dirty, bool prefetched) {
   const std::uint32_t set = set_of(addr);
   const std::size_t base = static_cast<std::size_t>(set) * cfg_.ways;
   const Addr tag = line_base(addr);
-  const std::uint64_t flags = dirty ? kDirty : 0;
+  const std::uint64_t flags = (dirty ? kDirty : 0) | (prefetched ? kPrefetched : 0);
   if (const std::uint32_t w = find_way(base, tag); w != cfg_.ways) {
     words()[base + w] |= flags;  // racing fills are idempotent
     return {};
@@ -151,6 +153,7 @@ Cache::FillResult Cache::install(std::uint32_t set, std::size_t base, Addr tag,
       res.evicted_dirty = true;
       ++stats_.writebacks;
     }
+    res.evicted_prefetched = (word & kPrefetched) != 0;
     if (cfg_.repl == ReplPolicy::EafLru) {
       // Remember the evicted address in the EAF.
       if (eaf_set_.insert(victim).second) {
@@ -193,6 +196,13 @@ std::optional<Addr> Cache::invalidate(Addr addr) {
   word = tag;
   if (dirty) return tag;
   return std::nullopt;
+}
+
+std::vector<Addr> Cache::prefetched_lines() const {
+  std::vector<Addr> out;
+  for (std::size_t i = 0; i < lines_; ++i)
+    if (words()[i] & kPrefetched) out.push_back(words()[i] & ~kFlagMask);
+  return out;
 }
 
 void Cache::save_state(ckpt::Sink& s) const {

@@ -49,27 +49,35 @@ class Cache {
   explicit Cache(const CacheConfig& cfg);
 
   struct FillResult {
-    std::optional<Addr> evicted;    // victim line (clean or dirty)
-    bool evicted_dirty = false;     // true -> the victim needs writeback
+    std::optional<Addr> evicted;      // victim line (clean or dirty)
+    bool evicted_dirty = false;       // true -> the victim needs writeback
+    bool evicted_prefetched = false;  // the victim still carried the prefetch mark
   };
 
   struct AccessResult {
     bool hit = false;
-    FillResult fill;  // populated on miss (allocation side effects)
+    bool hit_prefetched = false;  // the hit consumed the line's prefetch mark
+    FillResult fill;              // populated on miss (allocation side effects)
   };
 
   /// Looks up `addr`; on miss, allocates the line immediately (the caller
-  /// models fill latency) and reports any victim.
+  /// models fill latency) and reports any victim. A hit is a demand use:
+  /// it clears the line's prefetch mark.
   AccessResult access(Addr addr, AccessType type);
 
   /// Lookup without allocation or LRU update (probe).
   bool contains(Addr addr) const;
 
-  /// Install a line without it being a demand access (prefetch fill).
-  FillResult fill(Addr addr, bool dirty = false);
+  /// Install a line without it being a demand access. `prefetched` sets the
+  /// line's prefetch mark, which stays until a hit or the line's eviction.
+  /// Filling a resident line only merges the dirty bit and the mark.
+  FillResult fill(Addr addr, bool dirty = false, bool prefetched = false);
 
   /// Invalidate a line; returns its dirty-writeback address if any.
   std::optional<Addr> invalidate(Addr addr);
+
+  /// Resident lines that carry the prefetch mark, in layout order.
+  std::vector<Addr> prefetched_lines() const;
 
   struct Stats {
     std::uint64_t hits = 0;
@@ -99,8 +107,9 @@ class Cache {
   // a line base leaves zero; an invalidated line keeps its base.
   static constexpr std::uint64_t kValid = 1;
   static constexpr std::uint64_t kDirty = 2;
+  static constexpr std::uint64_t kPrefetched = 4;
   static constexpr std::uint64_t kFlagMask = kLineBytes - 1;
-  static_assert(kLineBytes >= 4 && (kLineBytes & (kLineBytes - 1)) == 0,
+  static_assert(kLineBytes >= 8 && (kLineBytes & (kLineBytes - 1)) == 0,
                 "the tag word's flags sit below the line offset");
 
   std::uint32_t set_of(Addr addr) const {

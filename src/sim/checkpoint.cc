@@ -24,9 +24,10 @@ void System::save_state(ckpt::Sink& s) const {
   for (std::size_t i = 0; i < pending_writes_.size(); ++i)
     s.u64(pending_writes_.at(i));
 
-  // Unordered containers travel sorted so the image is byte-stable across
-  // hosts and library versions.
-  std::vector<Addr> pf(prefetched_.begin(), prefetched_.end());
+  // The L2's prefetch-marked lines, sorted, then the unordered PC map
+  // (which put_map sorts): the image is byte-stable across hosts and
+  // library versions.
+  std::vector<Addr> pf = l2_->prefetched_lines();
   std::sort(pf.begin(), pf.end());
   ckpt::put_vec_u64(s, pf);
   ckpt::put_map(s, prefetch_pc_, [](ckpt::Sink& sk, const std::uint64_t& pc) { sk.u64(pc); });
@@ -55,8 +56,10 @@ void System::load_state(ckpt::Source& s) {
 
   std::vector<Addr> pf;
   ckpt::get_vec_u64(s, pf);
-  prefetched_.clear();
-  prefetched_.insert(pf.begin(), pf.end());
+  for (const Addr line : pf) {
+    if (!l2_->contains(line)) s.fail(ckpt::ErrorKind::Format, "prefetched line not in the L2");
+    l2_->fill(line, /*dirty=*/false, /*prefetched=*/true);  // resident: sets the mark only
+  }
   ckpt::get_map(s, prefetch_pc_, [](ckpt::Source& sk) { return sk.u64(); });
 
   pf_stats_.issued = s.u64();

@@ -126,7 +126,6 @@ void System::flush_pending_writes() {
 }
 
 void System::retire_prefetched(Addr line, bool useful) {
-  if (prefetched_.erase(line) == 0) return;
   ++(useful ? pf_stats_.useful : pf_stats_.useless);
   IMA_TRACE(trace_.get(), .cycle = now_,
             .kind = useful ? obs::EventKind::PrefetchUseful : obs::EventKind::PrefetchUseless,
@@ -150,7 +149,7 @@ void System::handle_l1_victim(std::uint32_t /*core*/, const cache::Cache::FillRe
 
 void System::handle_l2_victim(const cache::Cache::FillResult& fr) {
   if (!fr.evicted) return;
-  retire_prefetched(*fr.evicted, /*useful=*/false);
+  if (fr.evicted_prefetched) retire_prefetched(*fr.evicted, /*useful=*/false);
   if (fr.evicted_dirty) enqueue_mem_write(*fr.evicted);
 }
 
@@ -170,8 +169,7 @@ void System::issue_prefetches(Addr addr, std::uint64_t pc, bool was_miss) {
     const std::uint64_t cpc = c.pc;
     const bool ok = enqueue_mem(pf, [this, cpc](const mem::Request& r) {
       const Addr line = r.addr;
-      const auto fr = l2_->fill(line, /*dirty=*/false);
-      prefetched_.insert(line);
+      const auto fr = l2_->fill(line, /*dirty=*/false, /*prefetched=*/true);
       prefetch_pc_[line] = cpc;
       handle_l2_victim(fr);
     });
@@ -226,7 +224,7 @@ std::optional<Cycle> System::issue(std::uint32_t core, const workloads::TraceEnt
 
   const auto l2res = l2_->access(line, AccessType::Read);
   if (l2res.hit) {
-    retire_prefetched(line, /*useful=*/true);
+    if (l2res.hit_prefetched) retire_prefetched(line, /*useful=*/true);
     issue_prefetches(line, access.pc, /*was_miss=*/false);
     return now + cfg_.l2.hit_latency;
   }

@@ -4,7 +4,7 @@
 #pragma once
 
 #include <memory>
-#include <unordered_set>
+#include <unordered_map>
 #include <vector>
 
 #include "cache/cache.hh"
@@ -159,15 +159,15 @@ class System final : public core::MemoryPort {
   /// event may now be earlier than its run() cursor.
   [[nodiscard]] bool enqueue_mem(const mem::Request& req, mem::CompletionCallback cb = nullptr);
   void handle_l1_victim(std::uint32_t core, const cache::Cache::FillResult& fr);
-  /// Every L2 fill site ends here: the victim leaves `prefetched_` as a
-  /// useless prefetch, and a dirty one is written back.
+  /// Every L2 fill site ends here: a victim that still carried the prefetch
+  /// mark retires as useless, and a dirty one is written back. So a line
+  /// marked prefetched is always resident in the L2.
   void handle_l2_victim(const cache::Cache::FillResult& fr);
   void enqueue_mem_write(Addr addr);
   void issue_prefetches(Addr addr, std::uint64_t pc, bool was_miss);
   void flush_pending_writes();
-  /// A prefetched L2 line left `prefetched_` (demanded or evicted): count
-  /// it, emit the trace event and train the prefetcher. No-op for lines the
-  /// prefetcher never brought in.
+  /// An L2 line lost its prefetch mark (demanded or evicted): count it,
+  /// emit the trace event and train the prefetcher.
   void retire_prefetched(Addr line, bool useful);
 
   SystemConfig cfg_;
@@ -178,9 +178,10 @@ class System final : public core::MemoryPort {
   std::unique_ptr<cache::Prefetcher> prefetcher_;
   cache::TrainablePrefetcher* trainable_ = nullptr;  // non-owning view when enabled
 
-  RingQueue<Addr> pending_writes_;        // writebacks awaiting queue space
-  std::unordered_set<Addr> prefetched_;   // L2 lines filled by prefetch, untouched
-  std::unordered_map<Addr, std::uint64_t> prefetch_pc_;  // training context
+  RingQueue<Addr> pending_writes_;  // writebacks awaiting queue space
+  // Training context of each L2 line carrying the prefetch mark (the mark
+  // itself lives in the L2's tag words).
+  std::unordered_map<Addr, std::uint64_t> prefetch_pc_;
   PrefetchStats pf_stats_;
   std::vector<cache::PrefetchRequest> pf_candidates_;  // issue_prefetches scratch
   // run()'s due cursors (DESIGN.md "Clocking model"): a component is ticked

@@ -205,7 +205,8 @@ TEST(Cache, RandomFuzzNeverBreaksInvariants) {
 /// The array-of-structs cache that src/cache used before its state became
 /// packed tag words in one block: one struct per line, and a miss that
 /// re-walks the set in fill() and again in choose_victim(). Kept as the
-/// oracle; every result, stat and checkpoint byte must match.
+/// oracle, with the prefetch mark added as one more bool per line; every
+/// result, stat, marked line and checkpoint byte must match.
 class RefCache {
  public:
   explicit RefCache(const CacheConfig& cfg) : cfg_(cfg), rng_(cfg.seed) {
@@ -216,22 +217,25 @@ class RefCache {
     Cache::AccessResult res;
     if (Line* l = find(addr)) {
       res.hit = true;
+      res.hit_prefetched = l->prefetched;
+      l->prefetched = false;
       ++stats_.hits;
       touch(*l, /*is_insert=*/false);
       if (type == AccessType::Write) l->dirty = true;
       return res;
     }
     ++stats_.misses;
-    res.fill = fill(addr, type == AccessType::Write);
+    res.fill = fill(addr, type == AccessType::Write, false);
     return res;
   }
 
   bool contains(Addr addr) { return find(addr) != nullptr; }
 
-  Cache::FillResult fill(Addr addr, bool dirty) {
+  Cache::FillResult fill(Addr addr, bool dirty, bool prefetched) {
     const std::uint32_t s = set_of(addr);
     if (Line* existing = find(addr)) {
       existing->dirty |= dirty;
+      existing->prefetched |= prefetched;
       return {};
     }
     const std::uint32_t w = choose_victim(s);
@@ -244,6 +248,7 @@ class RefCache {
         res.evicted_dirty = true;
         ++stats_.writebacks;
       }
+      res.evicted_prefetched = l.prefetched;
       if (cfg_.repl == ReplPolicy::EafLru) {
         if (eaf_set_.insert(l.tag).second) {
           eaf_fifo_.push_back(l.tag);
@@ -260,6 +265,7 @@ class RefCache {
     }
     l.valid = true;
     l.dirty = dirty;
+    l.prefetched = prefetched;
     l.tag = line_base(addr);
     touch(l, /*is_insert=*/true);
     if (cfg_.repl == ReplPolicy::EafLru && eaf_set_.count(l.tag)) {
@@ -273,6 +279,7 @@ class RefCache {
   std::optional<Addr> invalidate(Addr addr) {
     if (Line* l = find(addr)) {
       l->valid = false;
+      l->prefetched = false;
       if (l->dirty) {
         l->dirty = false;
         return l->tag;
@@ -282,6 +289,13 @@ class RefCache {
   }
 
   const Cache::Stats& stats() const { return stats_; }
+
+  std::vector<Addr> prefetched_lines() const {
+    std::vector<Addr> out;
+    for (const Line& l : lines_)
+      if (l.valid && l.prefetched) out.push_back(l.tag);
+    return out;
+  }
 
   void save_state(ckpt::Sink& s) const {
     s.section("cache");
@@ -309,6 +323,7 @@ class RefCache {
   struct Line {
     bool valid = false;
     bool dirty = false;
+    bool prefetched = false;
     Addr tag = 0;
     std::uint64_t lru = 0;
     std::uint8_t rrpv = 3;
@@ -393,6 +408,8 @@ struct Shape {
   int image_every;  // compare checkpoint bytes every this many steps
 };
 
+void PrintTo(const Shape& shape, std::ostream* os) { *os << shape.name; }
+
 // The 8x8 tiny cache and the System's default L1 and L2. The L2 image is
 // 850 KB, so it is compared every 64 steps and at the end.
 constexpr Shape kShapes[] = {{"tiny", 4 * 1024, 8, 20'000, 1},
@@ -427,9 +444,12 @@ TEST_P(CacheDifferential, MatchesArrayOfStructsReference) {
     return (k * sets + set) * kLineBytes + rng.next_below(kLineBytes);
   };
   const auto same_fill = [](const Cache::FillResult& a, const Cache::FillResult& b) {
-    return a.evicted == b.evicted && a.evicted_dirty == b.evicted_dirty;
+    return a.evicted == b.evicted && a.evicted_dirty == b.evicted_dirty &&
+           a.evicted_prefetched == b.evicted_prefetched;
   };
 
+  std::uint64_t marks_consumed = 0;
+  std::uint64_t marks_evicted = 0;
   for (int step = 0; step < shape.steps; ++step) {
     // 0-24 read, 25-39 write, 40-59 fill, 60-69 read a recent address,
     // 70-84 refill a recent (mostly resident) line, 85-91 invalidate,
@@ -442,10 +462,16 @@ TEST_P(CacheDifferential, MatchesArrayOfStructsReference) {
       const auto d = dut.access(a, type);
       const auto r = ref.access(a, type);
       ASSERT_EQ(d.hit, r.hit) << "step " << step;
+      ASSERT_EQ(d.hit_prefetched, r.hit_prefetched) << "step " << step;
       ASSERT_TRUE(same_fill(d.fill, r.fill)) << "step " << step;
+      marks_consumed += d.hit_prefetched;
+      marks_evicted += d.fill.evicted_prefetched;
     } else if (op < 85) {
       const bool dirty = rng.chance(0.5);
-      ASSERT_TRUE(same_fill(dut.fill(a, dirty), ref.fill(a, dirty))) << "step " << step;
+      const bool prefetched = rng.chance(0.5);
+      const auto d = dut.fill(a, dirty, prefetched);
+      ASSERT_TRUE(same_fill(d, ref.fill(a, dirty, prefetched))) << "step " << step;
+      marks_evicted += d.evicted_prefetched;
     } else if (op < 92) {
       ASSERT_EQ(dut.invalidate(a), ref.invalidate(a)) << "step " << step;
     } else {
@@ -462,10 +488,13 @@ TEST_P(CacheDifferential, MatchesArrayOfStructsReference) {
     ASSERT_EQ(ds.writebacks, rs.writebacks) << "step " << step;
     if (step % shape.image_every == 0 || step + 1 == shape.steps) {
       ASSERT_EQ(image(dut), image(ref)) << "step " << step;
+      ASSERT_EQ(dut.prefetched_lines(), ref.prefetched_lines()) << "step " << step;
     }
   }
   EXPECT_GT(dut.stats().evictions, 0u);
   EXPECT_GT(dut.stats().writebacks, 0u);
+  EXPECT_GT(marks_consumed, 0u);
+  EXPECT_GT(marks_evicted, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

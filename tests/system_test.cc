@@ -177,6 +177,7 @@ TEST(System, RunaheadFillRetiresEvictedPrefetchAsUseless) {
   EXPECT_FALSE(sys.l2().contains(x + 2 * kLineBytes));
   EXPECT_EQ(sys.prefetch_stats().useless, 2u);
   EXPECT_EQ(sys.prefetch_stats().useful, 0u);
+  EXPECT_TRUE(sys.l2().prefetched_lines().empty());
 }
 
 TEST(System, MultiCoreSharesBandwidth) {
